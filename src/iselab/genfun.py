@@ -12,8 +12,12 @@ Complete binary trees reduce to the binary engine through the label
 multiset identity: the labels of a complete tree are {0} plus, for every
 internal node with label l, the pair {l-1, l+1}.
 
-Everything runs twice: exactly over Fractions, and in float64 over the
-scaled variable tau = base*t (whose coefficients stay O(1) at any order).
+Everything runs twice: exactly, and in float64 over the scaled variable
+tau = base*t (whose coefficients stay O(1) at any order).  The exact run
+stays in the integers: every coefficient counts labelled objects, and
+sqrt(1 - base*t) has integer coefficients with constant term 1 for every
+base used here, so dividing by it never leaves Z.  The only rational is
+the final quotient total / count in exact_moment.
 """
 
 from __future__ import annotations
@@ -42,7 +46,11 @@ from .series import (
 
 # Hard cap for exact-arithmetic truncation orders; float engines are not
 # capped (their cost per coefficient is constant).
-MAX_EXACT_ORDER = 512
+MAX_EXACT_ORDER = 1024
+
+# The exact bivariate profile series carries a Laurent polynomial per
+# coefficient and already takes seconds at order 120, so it keeps a lower cap.
+PROFILE_MAX_EXACT_ORDER = 512
 
 Series = Union[PowerSeries, FloatSeries]
 
@@ -388,8 +396,7 @@ def exact_moment(family: TreeFamily, lam: Sequence[int], n: int) -> ExactMoment:
     lam_t = canonical_partition(lam)
     idx = family.series_index(n)
     pps = power_product_series(family, lam_t, idx)
-    total = pps.coeff(idx)
-    exact = total / family.count(n)
+    exact = Fraction(pps.coeff(idx), family.count(n))
     return ExactMoment(exact, _normalizer(family, lam_t, n) * float(exact))
 
 
@@ -488,9 +495,10 @@ def profile_correlation_series(family: TreeFamily, order: int) -> BivariateSerie
     """
     if order < 0:
         raise ValueError("truncation order must be non-negative")
-    if order > MAX_EXACT_ORDER:
+    if order > PROFILE_MAX_EXACT_ORDER:
         raise ValueError(
-            f"exact truncation order {order} exceeds MAX_EXACT_ORDER={MAX_EXACT_ORDER}"
+            f"exact truncation order {order} exceeds "
+            f"PROFILE_MAX_EXACT_ORDER={PROFILE_MAX_EXACT_ORDER}"
         )
     cached = _PROFILE_CACHE.get(family.name)
     if cached is None or cached.order < order:

@@ -1,11 +1,14 @@
 """Exact truncated power series and Laurent polynomial arithmetic.
 
-PowerSeries carries Fraction coefficients of t^0 .. t^N and is the exact
-workhorse for all generating-function computations.  FloatSeries is its
-float64 twin for orders where exact arithmetic is unaffordable; it exists
-for large-order convergence studies and is never used by exact oracles.
-LaurentPoly and BivariateSeries add the label variable x for the
-profile-correlation series.
+PowerSeries is the exact workhorse for all generating-function
+computations.  Its coefficients stay Python ints as long as the inputs
+are ints and every division is by a series with constant term +-1; a
+Fraction appears only when a caller passes one in or a division really
+needs it.  Products and quotients take one C-level dot product per output
+coefficient.  FloatSeries is its float64 twin for orders where exact
+arithmetic is unaffordable; it exists for large-order convergence studies
+and is never used by exact oracles.  LaurentPoly and BivariateSeries add
+the label variable x for the profile-correlation series.
 
 All values are immutable after construction and every operation is a pure
 function, so values are safe to share across threads.
@@ -15,30 +18,24 @@ from __future__ import annotations
 
 import cmath
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Union
 
 import numpy as np
 
-Rational = Fraction
 Number = Union[int, Fraction]
 
-# Guard for runaway exact recursions; callers may pass any explicit order.
-DEFAULT_MAX_ORDER = 512
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
-
-def _frac(x: Number) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"exact coefficient must be int or Fraction, got {type(x).__name__}")
+def _exact(xs: list) -> list:
+    """xs itself, after checking that every entry is an int or a Fraction."""
+    for x in xs:
+        if not isinstance(x, (int, Fraction)):
+            raise TypeError(f"exact coefficient must be int or Fraction, got {type(x).__name__}")
+    return xs
 
 
 class PowerSeries:
-    """Truncated power series in t with exact rational coefficients.
+    """Truncated power series in t with exact int or Fraction coefficients.
 
     Ring operations are exact modulo t^(N+1); mixed-order operands resolve
     to the minimum order so precision is never silently overstated.
@@ -47,7 +44,7 @@ class PowerSeries:
     __slots__ = ("order", "coeffs")
 
     def __init__(self, coeffs: Iterable[Number], order: int | None = None):
-        cs = [_frac(c) for c in coeffs]
+        cs = _exact(list(coeffs))
         if order is None:
             if not cs:
                 raise ValueError("order is required with an empty coefficient list")
@@ -55,28 +52,28 @@ class PowerSeries:
         if order < 0:
             raise ValueError("truncation order must be non-negative")
         if len(cs) < order + 1:
-            cs.extend([_ZERO] * (order + 1 - len(cs)))
+            cs.extend([0] * (order + 1 - len(cs)))
         self.order = order
         self.coeffs = tuple(cs[: order + 1])
 
     @classmethod
     def zero(cls, order: int) -> "PowerSeries":
-        return cls([], order=order) if order >= 0 else cls([_ZERO])
+        return cls([], order=order) if order >= 0 else cls([0])
 
     @classmethod
     def one(cls, order: int) -> "PowerSeries":
-        return cls([_ONE], order=order)
+        return cls([1], order=order)
 
     @classmethod
     def monomial(cls, c: Number, k: int, order: int) -> "PowerSeries":
         if k < 0:
             raise ValueError("monomial exponent must be non-negative")
-        cs = [_ZERO] * (order + 1)
+        cs = [0] * (order + 1)
         if k <= order:
-            cs[k] = _frac(c)
+            cs[k] = c
         return cls(cs, order=order)
 
-    def coeff(self, n: int) -> Fraction:
+    def coeff(self, n: int) -> int | Fraction:
         """Coefficient of t^n; raises IndexError beyond the truncation order."""
         if not 0 <= n <= self.order:
             raise IndexError(f"coefficient {n} beyond truncation order {self.order}")
@@ -100,7 +97,7 @@ class PowerSeries:
             raise ValueError("shift exponent must be non-negative")
         if k == 0:
             return self
-        cs = (_ZERO,) * k + self.coeffs[: self.order + 1 - k]
+        cs = (0,) * k + self.coeffs[: self.order + 1 - k]
         return PowerSeries(cs, order=self.order)
 
     def t_ddt(self) -> "PowerSeries":
@@ -124,30 +121,22 @@ class PowerSeries:
     def __mul__(self, other):
         if isinstance(other, PowerSeries):
             n = min(self.order, other.order)
-            out = [_ZERO] * (n + 1)
-            a, b = self.coeffs, other.coeffs
-            for i in range(n + 1):
-                ai = a[i]
-                if not ai:
-                    continue
-                for j in range(n + 1 - i):
-                    bj = b[j]
-                    if bj:
-                        out[i + j] += ai * bj
-            return PowerSeries(out, order=n)
+            a = self.coeffs[: n + 1]
+            rb = other.coeffs[n::-1]  # rb[n - j] == b[j]
+            return PowerSeries(
+                [sum(map(mul, a[: k + 1], rb[n - k :])) for k in range(n + 1)], order=n
+            )
         if isinstance(other, (int, Fraction)):
-            c = _frac(other)
-            return PowerSeries([c * x for x in self.coeffs], order=self.order)
+            return PowerSeries([other * x for x in self.coeffs], order=self.order)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _frac(other)
-            if not c:
+            if not other:
                 raise ZeroDivisionError("division by zero scalar")
-            return self * (_ONE / c)
+            return self * Fraction(1, other)
         if not isinstance(other, PowerSeries):
             return NotImplemented
         n = min(self.order, other.order)
@@ -164,19 +153,15 @@ class PowerSeries:
             a = a[vb : n + 1]
             b = b[vb : n + 1]
             n -= vb
-        q = [_ZERO] * (n + 1)
         b0 = b[0]
+        # A unit constant term keeps int numerators in Z.
+        unit = b0 == 1 or b0 == -1
+        rb = b[n:0:-1]  # rb[n - j] == b[j] for j >= 1
+        q: list[Number] = []
         for i in range(n + 1):
-            acc = a[i] if i < len(a) else _ZERO
-            for j in range(1, i + 1):
-                bj = b[j] if j < len(b) else _ZERO
-                if bj and q[i - j]:
-                    acc -= bj * q[i - j]
-            q[i] = acc / b0
+            acc = a[i] - sum(map(mul, q, rb[n - i :]))
+            q.append(acc * b0 if unit else Fraction(acc, b0))
         return PowerSeries(q, order=n)
-
-    def to_float(self) -> "FloatSeries":
-        return FloatSeries([float(c) for c in self.coeffs])
 
     def is_zero(self) -> bool:
         return self.valuation() is None
@@ -363,7 +348,7 @@ class LaurentPoly:
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, LaurentPoly) else -_frac(other))
+        return self + (-other)
 
     def __neg__(self):
         return LaurentPoly([-c for c in self.coeffs], lo=self.lo)
@@ -543,41 +528,21 @@ class BivariateSeries:
         return f"BivariateSeries(order={self.order})"
 
 
-def series_mul(a: PowerSeries, b: PowerSeries) -> PowerSeries:
-    """Exact Cauchy product truncated at the minimum operand order."""
-    return a * b
-
-
-def series_div(a: PowerSeries, b: PowerSeries) -> PowerSeries:
-    """Exact series division.
-
-    Requires a nonzero constant term in b, or numerator valuation at least
-    the denominator valuation (both are then shifted down, shrinking the
-    result order by the shift).
-    """
-    return a / b
-
-
-def t_ddt(a):
-    """Map coefficient of t^n to n times itself (works on exact and float series)."""
-    return a.t_ddt()
-
-
 def sqrt_one_minus(c: Number, order: int) -> PowerSeries:
-    """Exact binomial expansion of sqrt(1 - c*t) to the given order."""
-    coeffs = [_ONE]
-    binom = _ONE
+    """Exact binomial expansion of sqrt(1 - c*t) to the given order.
+
+    The t^k coefficient is -C(2k, k) (c/4)^k / (2k - 1); it is stored as
+    an int whenever it is integral, as for every k at c = 4, 8 and 12.
+    """
+    (c,) = _exact([c])
+    coeffs: list[Number] = [1]
+    term = Fraction(1)
     for k in range(1, order + 1):
-        binom = binom * (Fraction(1, 2) - (k - 1)) / k
-        coeffs.append(binom * (-_frac(c)) ** k)
+        term = term * c * (2 * k - 3) / (2 * k)
+        coeffs.append(term.numerator if term.denominator == 1 else term)
     return PowerSeries(coeffs, order=order)
 
 
 def sqrt_one_minus_4t(order: int) -> PowerSeries:
     """Exact series s with s(0)=1 and s^2 = 1 - 4t modulo t^(order+1)."""
     return sqrt_one_minus(4, order)
-
-
-def laurent_eval_unit_circle(p: LaurentPoly, u: float) -> complex:
-    """Evaluate p at x = exp(i u) in double precision."""
-    return p.eval_unit_circle(u)

@@ -3,7 +3,9 @@
 import json
 import math
 import re
+import shlex
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +16,14 @@ def run_cli(capsys, argv):
     rc = cli.main(argv)
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def readme_examples():
+    """The iselab lines of the sh block under "## Command line" in README.md."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("iselab ")]
 
 
 def parse_csv(text):
@@ -236,3 +246,17 @@ class TestOutput:
             cli.main(["--version"])
         assert exc.value.code == 0
         assert cli.VERSION in capsys.readouterr().out
+
+
+class TestReadmeExamples:
+    def test_examples_found(self):
+        assert len(readme_examples()) == 8
+
+    # Full verification is covered by test_acceptance.py.
+    @pytest.mark.parametrize(
+        "line", [ln for ln in readme_examples() if ln != "iselab verify --level full"]
+    )
+    def test_example_exits_zero(self, capsys, line):
+        rc, out, err = run_cli(capsys, shlex.split(line)[1:])
+        assert rc == 0, err
+        assert out.startswith("# version:")

@@ -7,6 +7,7 @@ import pytest
 from iselab.families import BINARY, COMPLETE_BINARY, PLANE_0PM1, PLANE_PM1
 from iselab.genfun import (
     MAX_EXACT_ORDER,
+    PROFILE_MAX_EXACT_ORDER,
     exact_moment,
     f_series,
     float_moment,
@@ -105,6 +106,7 @@ class TestMoments:
     def test_binary_anchor(self):
         em = exact_moment(BINARY, (2,), 2)
         assert em.exact == 1
+        assert type(em.exact) is Fraction
         assert em.normalized == pytest.approx(0.25, abs=1e-15)
         assert exact_moment(BINARY, (2,), 3).exact == Fraction(14, 5)
 
@@ -163,3 +165,17 @@ class TestFourier:
     def test_max_order_guard(self):
         with pytest.raises(ValueError, match="MAX_EXACT_ORDER"):
             profile_correlation_series(BINARY, MAX_EXACT_ORDER + 1)
+
+    def test_profile_order_guard_below_engine_cap(self):
+        assert PROFILE_MAX_EXACT_ORDER == 512 < MAX_EXACT_ORDER
+        with pytest.raises(ValueError, match="PROFILE_MAX_EXACT_ORDER=512"):
+            profile_correlation_series(BINARY, PROFILE_MAX_EXACT_ORDER + 1)
+
+
+class TestOrderGuard:
+    def test_engine_refuses_above_cap(self):
+        assert MAX_EXACT_ORDER == 1024
+        with pytest.raises(ValueError, match="MAX_EXACT_ORDER=1024"):
+            partial_F(BINARY, (2,), MAX_EXACT_ORDER + 1)
+        with pytest.raises(ValueError, match="MAX_EXACT_ORDER=1024"):
+            exact_moment(BINARY, (2,), MAX_EXACT_ORDER + 1)

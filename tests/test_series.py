@@ -14,17 +14,49 @@ from iselab.series import (
     PowerSeries,
     sqrt_one_minus,
     sqrt_one_minus_4t,
-    t_ddt,
 )
 
 fractions = st.fractions(
     min_value=-8, max_value=8, max_denominator=6
 )
+ints = st.integers(min_value=-(2**70), max_value=2**70)
 coeff_lists = st.lists(fractions, min_size=1, max_size=8)
+int_lists = st.lists(ints, min_size=1, max_size=8)
+mixed_lists = st.lists(st.one_of(ints, fractions), min_size=1, max_size=8)
 
 
 def ps(coeffs, order=7):
-    return PowerSeries(list(coeffs) + [Fraction(0)] * (order + 1 - len(coeffs)), order=order)
+    return PowerSeries(list(coeffs) + [0] * (order + 1 - len(coeffs)), order=order)
+
+
+def padded(coeffs, order=7):
+    return [Fraction(c) for c in coeffs] + [Fraction(0)] * (order + 1 - len(coeffs))
+
+
+def naive_mul(xs, ys, order=7):
+    """Reference Cauchy product: a Fraction double loop."""
+    a, b = padded(xs, order), padded(ys, order)
+    out = [Fraction(0)] * (order + 1)
+    for i in range(order + 1):
+        for j in range(order + 1 - i):
+            out[i + j] += a[i] * b[j]
+    return out
+
+
+def naive_div(xs, ys, order=7):
+    """Reference quotient for a nonzero constant term: a Fraction double loop."""
+    a, b = padded(xs, order), padded(ys, order)
+    q = []
+    for i in range(order + 1):
+        acc = a[i]
+        for j in range(1, i + 1):
+            acc -= b[j] * q[i - j]
+        q.append(acc / b[0])
+    return q
+
+
+def types(s):
+    return {type(c) for c in s.coeffs}
 
 
 class TestPowerSeries:
@@ -90,6 +122,70 @@ class TestPowerSeries:
         assert (s * s).coeff(1) == -4
         assert all((s * s).coeff(k) == 0 for k in range(2, 7))
         assert sqrt_one_minus_4t(6) == s
+
+    @pytest.mark.parametrize("c", [4, 8, 12])
+    def test_sqrt_one_minus_integer_coefficients(self, c):
+        s = sqrt_one_minus(c, 40)
+        assert types(s) == {int}
+        assert s * s == PowerSeries([1, -c], order=40)
+
+    def test_sqrt_one_minus_rational_base(self):
+        s = sqrt_one_minus(2, 6)
+        assert s.coeff(1) == -1 and s.coeff(2) == Fraction(-1, 2)
+        assert s * s == PowerSeries([1, -2], order=6)
+
+    @given(int_lists, int_lists)
+    @settings(max_examples=60, deadline=None)
+    def test_int_inputs_give_int_coefficients(self, xs, ys):
+        a, b = ps(xs), ps(ys)
+        unit = ps([1] + ys[1:])
+        for s in (a * b, a + b, a - b, -a, a * 3, a.t_ddt(), a.shift(2), a / unit, a / -unit):
+            assert types(s) == {int}
+
+    @given(mixed_lists, mixed_lists)
+    @settings(max_examples=80, deadline=None)
+    def test_mul_matches_naive_fraction_loop(self, xs, ys):
+        assert list((ps(xs) * ps(ys)).coeffs) == naive_mul(xs, ys)
+
+    @given(mixed_lists, mixed_lists)
+    @settings(max_examples=80, deadline=None)
+    def test_div_matches_naive_fraction_loop(self, xs, ys):
+        if not ys[0]:
+            ys = [1] + ys[1:]
+        assert list((ps(xs) / ps(ys)).coeffs) == naive_div(xs, ys)
+
+    def test_division_by_non_unit_constant_term_is_exact(self):
+        a = ps([1, 1, 1])
+        b = ps([2, 1])
+        q = a / b
+        assert types(q) == {Fraction}
+        assert [q.coeff(k) for k in range(3)] == [Fraction(1, 2), Fraction(1, 4), Fraction(3, 8)]
+        assert q * b == a
+
+    def test_scalar_division_returns_fractions(self):
+        a = ps([2, 4, 6])
+        for c, want in [(2, [1, 2, 3]), (Fraction(2, 3), [3, 6, 9]), (3, [Fraction(2, 3), Fraction(4, 3), 2])]:
+            q = a / c
+            assert types(q) == {Fraction}
+            assert [q.coeff(k) for k in range(3)] == want
+        with pytest.raises(ZeroDivisionError):
+            a / 0
+
+    def test_float_coefficients_rejected(self):
+        with pytest.raises(TypeError):
+            PowerSeries([1, 0.5])
+        with pytest.raises(TypeError):
+            PowerSeries.monomial(0.5, 1, 3)
+        with pytest.raises(TypeError):
+            ps([1, 2]) * 0.5
+        with pytest.raises(TypeError):
+            ps([1, 2]) / 0.5
+        with pytest.raises(TypeError):
+            sqrt_one_minus(4.0, 3)
+
+    def test_coeffs_immutable(self):
+        a = ps([1, 2]) * ps([3, 4])
+        assert isinstance(a.coeffs, tuple)
 
     @given(coeff_lists, coeff_lists, coeff_lists)
     @settings(max_examples=60, deadline=None)
