@@ -161,10 +161,12 @@ def _h_moments_exact(args) -> tuple[list[str], list[list], dict, int]:
     lam = _parse_partition(args.lam, allow_zero=False)
     sizes = _parse_int_list(args.n)
     limit = grandmoments.limit_moment_ise(lam)
-    rows = []
     for n in sizes:
         if not fam.valid_size(n):
             raise ValueError(f"size {n} is not valid for family {fam.name}")
+    genfun.build_exact_engine(fam, sizes)
+    rows = []
+    for n in sizes:
         em = genfun.exact_moment(fam, lam, n)
         gap = abs(em.normalized / limit - 1.0) if limit != 0 else abs(em.normalized)
         rows.append(

@@ -6,7 +6,9 @@ whose t^idx coefficient is the total over all labelled objects of index
 idx of prod_i sum_v fall(label(v), lam_i).  Zero parts strip off as a
 node-count multiplier; all-positive partitions expand through the family
 template (subtree label shifts down/up/none), the self-terms on both ends
-are excluded, and the result is divided by sqrt(1 - base*t).
+are excluded, and the result is divided by sqrt(1 - base*t).  The parts
+are split between the two subtrees once per sub-multiset, with the number
+of index splits it stands for as its weight.
 
 Complete binary trees reduce to the binary engine through the label
 multiset identity: the labels of a complete tree are {0} plus, for every
@@ -34,6 +36,7 @@ from .partitions import (
     falling_poly,
     power_shift_poly,
     stirling_expansions,
+    sub_multisets,
     weight,
 )
 from .series import (
@@ -179,20 +182,17 @@ class _Engine:
         if lam[0] == 0:
             val = self.node_mult(self.pf(lam[1:]))
         else:
-            p = len(lam)
-            full = (1 << p) - 1
             rhs = self.ops.zero()
             for kind_i, kind_j in self.template:
-                for mask in range(full + 1):
-                    parts_i = tuple(lam[i] for i in range(p) if mask >> i & 1)
-                    parts_j = tuple(lam[i] for i in range(p) if not mask >> i & 1)
-                    side_i = self._side(kind_i, parts_i, mask == full)
+                for w, parts_i, parts_j in sub_multisets(lam):
+                    side_i = self._side(kind_i, parts_i, not parts_j)
                     if side_i is None:
                         continue
-                    side_j = self._side(kind_j, parts_j, mask == 0)
+                    side_j = self._side(kind_j, parts_j, not parts_i)
                     if side_j is None:
                         continue
-                    rhs = rhs + side_i * side_j
+                    term = side_i * side_j
+                    rhs = rhs + (term * w if w != 1 else term)
             val = self.ops.sqrt_div(self.ops.t_shift(rhs))
         self.pf_memo[lam] = val
         return val
@@ -205,7 +205,7 @@ class _Engine:
         there (it is accounted for by the sqrt division).
         """
         if kind == "plain":
-            return None if excl else self.pf(tuple(sorted(parts)))
+            return None if excl else self.pf(parts)
         total = self.ops.zero()
         if kind == "down":
             for sigma in itertools.product(*(range(k + 1) for k in parts)):
@@ -253,7 +253,8 @@ def _family_mult(family: TreeFamily) -> tuple[int, int]:
 
 
 # Engines are grow-only per (variant, kind): a request above the current
-# order rebuilds from scratch at the larger order (no cross-order reuse).
+# order rebuilds from scratch at the larger order (no cross-order reuse),
+# so callers looping over sizes first call build_exact_engine.
 _ENGINES: dict[tuple[str, str], _Engine] = {}
 
 _HORIZONTAL_TEMPLATE = (("up", "up"),)
@@ -410,11 +411,24 @@ def float_moment(family: TreeFamily, lam: Sequence[int], n: int) -> float:
     return _normalizer(family, lam_t, n) * expectation
 
 
+def build_exact_engine(family: TreeFamily, sizes: Sequence[int]) -> None:
+    """Build the family's exact engine once, at the largest requested order.
+
+    Engines rebuild from scratch when a larger order is requested, so
+    callers about to run over several sizes in any order call this first.
+    An order above MAX_EXACT_ORDER is left for the per-size call to refuse.
+    """
+    top = max((family.series_index(n) for n in sizes), default=0)
+    if top <= MAX_EXACT_ORDER:
+        _engine_for(family, "exact", top)
+
+
 def moment_table(
     family: TreeFamily, lam: Sequence[int], sizes: Sequence[int]
 ) -> MomentTable:
     """Exact and normalized moments for one partition across sizes."""
     lam_t = canonical_partition(lam)
+    build_exact_engine(family, sizes)
     rows = []
     for n in sizes:
         em = exact_moment(family, lam_t, n)

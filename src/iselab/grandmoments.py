@@ -1,7 +1,12 @@
 """Limit moment constants via quadratic recurrences, and closed-form limits.
 
 All recurrences work over exact rationals on sorted partitions; closed
-forms are evaluated in floats through the gamma function.
+forms are evaluated in floats through the gamma function.  The quadratic
+term of the c and d recurrences sums over the ordered splits of lam into
+two nonempty index sets; equal parts make many splits give the same pair
+of sub-partitions, so the sum runs once per sub-multiset with the number
+of index splits as its weight (2^p terms become prod_j (m_j + 1) for the
+multiplicities m_j).
 """
 
 from __future__ import annotations
@@ -12,19 +17,10 @@ from functools import lru_cache
 from math import comb
 from typing import Sequence
 
-from .partitions import binom_product, canonical_partition, weight
+from .partitions import canonical_partition, sub_multisets, weight
 
 _C_CACHE: dict[tuple[int, ...], Fraction] = {}
 _D_CACHE: dict[tuple[int, ...], Fraction] = {}
-
-
-def _proper_subsets(p: int):
-    """Nonempty proper index subsets of range(p), as (subset, complement)."""
-    idx = tuple(range(p))
-    for mask in range(1, (1 << p) - 1):
-        left = tuple(i for i in idx if mask >> i & 1)
-        right = tuple(i for i in idx if not mask >> i & 1)
-        yield left, right
 
 
 def c_lambda(lam: Sequence[int]) -> Fraction:
@@ -52,10 +48,9 @@ def _c_rec(lam: tuple[int, ...]) -> Fraction:
         _C_CACHE[lam] = val
         return val
     total = Fraction(0)
-    for left, right in _proper_subsets(p):
-        lam_l = tuple(sorted(lam[i] for i in left))
-        lam_r = tuple(sorted(lam[i] for i in right))
-        total += _c_rec(lam_l) * _c_rec(lam_r)
+    for w, lam_l, lam_r in sub_multisets(lam):
+        if lam_l and lam_r:
+            total += w * _c_rec(lam_l) * _c_rec(lam_r)
     total /= 4
     # Lower-weight terms: second derivative in one slot, or first in two.
     for i in range(p):
@@ -93,10 +88,9 @@ def _d_rec(lam: tuple[int, ...]) -> Fraction:
         _D_CACHE[lam] = val
         return val
     total = Fraction(0)
-    for left, right in _proper_subsets(p):
-        lam_l = tuple(sorted(lam[i] for i in left))
-        lam_r = tuple(sorted(lam[i] for i in right))
-        total += _d_rec(lam_l) * _d_rec(lam_r)
+    for w, lam_l, lam_r in sub_multisets(lam):
+        if lam_l and lam_r:
+            total += w * _d_rec(lam_l) * _d_rec(lam_r)
     total /= 4
     for i in range(p):
         sub = tuple(sorted(lam[:i] + (lam[i] - 1,) + lam[i + 1 :]))

@@ -2,13 +2,14 @@
 
 An extended partition is a sorted non-decreasing tuple of non-negative
 integers; ordinary partitions have all parts positive.  This module owns
-the canonical form, partition enumeration, Stirling numbers, and the small
-integer-polynomial helpers used to change between power and falling
-factorial bases.
+the canonical form, partition enumeration, sub-multiset splits, Stirling
+numbers, and the small integer-polynomial helpers used to change between
+power and falling factorial bases.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -105,6 +106,34 @@ def binom_product(lam: Sequence[int], sigma: Sequence[int]) -> int:
     for a, b in zip(lam, sigma):
         total *= comb(a, b)
     return total
+
+
+def sub_multisets(
+    lam: Sequence[int],
+) -> Iterator[tuple[int, tuple[int, ...], tuple[int, ...]]]:
+    """Split a sorted partition into (weight, left, right), once per sub-multiset.
+
+    left runs over the distinct sub-multisets of lam and right is its
+    complement; both come out sorted.  weight counts the index subsets of
+    lam that give this split, the product of binom(m_j, k_j) over the
+    multiplicities m_j of lam and k_j of left, so the weights sum to
+    2^len(lam).
+    """
+    values: list[int] = []
+    mults: list[int] = []
+    for part in lam:
+        if values and values[-1] == part:
+            mults[-1] += 1
+        else:
+            values.append(part)
+            mults.append(1)
+    for ks in itertools.product(*(range(m + 1) for m in mults)):
+        left: tuple[int, ...] = ()
+        right: tuple[int, ...] = ()
+        for v, m, k in zip(values, mults, ks):
+            left += (v,) * k
+            right += (v,) * (m - k)
+        yield binom_product(mults, ks), left, right
 
 
 def stirling_expansions(lam: Sequence[int]) -> Iterator[tuple[int, tuple[int, ...]]]:

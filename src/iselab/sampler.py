@@ -15,8 +15,8 @@ from typing import Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .families import BINARY, PLANE_0PM1, PLANE_PM1, TreeFamily
-from .trees import LabelledTree, Profile, horizontal_profile, vertical_profile
+from .families import BINARY, TreeFamily
+from .trees import LabelledTree, Profile
 
 
 @dataclass(frozen=True)

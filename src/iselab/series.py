@@ -374,9 +374,11 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def divide_monomial(self, c: Number, e: int) -> "LaurentPoly":
-        """Exact division by c*x^e."""
+        """Exact division by c*x^e; int coefficients stay int when c is +-1."""
         if not c:
             raise ZeroDivisionError("division by the zero monomial")
+        if c in (1, -1) and all(type(a) is int for a in self.coeffs):
+            return LaurentPoly([a * c for a in self.coeffs], lo=self.lo - e)
         return LaurentPoly([Fraction(a, 1) / c if not isinstance(a, Fraction) else a / c
                             for a in self.coeffs], lo=self.lo - e)
 

@@ -16,7 +16,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .families import BINARY, COMPLETE_BINARY, TreeFamily, increments
+from .families import TreeFamily, increments
 
 # Default enumeration caps (configurable per call); chosen so the largest
 # family enumeration stays in the hundreds of thousands of objects.
@@ -312,14 +312,41 @@ def _assignment_matrix(incs: tuple[int, ...], n: int) -> np.ndarray:
     )
 
 
+def _plane_root_paths(n: int) -> np.ndarray:
+    """Root-path matrix of every plane shape with n edges, node-major.
+
+    anc[v, s, e] is 1 when edge e (the edge above preorder node e + 1) lies
+    on the root path of node v in shape s, so node labels are anc . a for
+    an increment assignment a.
+    """
+    shapes = _plane_shapes(n)
+    parents = np.array([_plane_parent_arrays(shape)[0] for shape in shapes])
+    rows = np.arange(len(shapes))
+    anc = np.zeros((n + 1, len(shapes), n))
+    for v in range(1, n + 1):
+        anc[v] = anc[parents[:, v], rows]
+        anc[v, :, v - 1] = 1.0
+    return anc
+
+
+# Label entries (nodes x objects) per block of the plane oracle: big enough
+# for BLAS and numpy to amortize call overhead, small enough to stay in cache.
+_ORACLE_BLOCK = 2**16
+
+
 def oracle_power_product_totals(
     family: TreeFamily, n: int, partitions: Sequence[tuple[int, ...]]
 ) -> tuple[dict[tuple[int, ...], int], int]:
     """Total of prod_i(sum_v label^lam_i) over all labelled objects of size n.
 
     Returns (totals by partition, object count).  Exact integers; computed
-    by direct enumeration, vectorized over increment assignments for the
-    plane families.
+    by direct enumeration.  The plane families run in blocks of shapes: one
+    float64 matmul of the block's root-path rows against every increment
+    assignment gives their labels, and power sums over node rows give one
+    value per object, exact while (n + 1) * n^max_power < 2^53 (larger
+    powers raise ValueError).  Each partition's total is then a dot product
+    of its last power sum with the product of the others, in int64 or, when
+    a bound says int64 could overflow, in Python ints.
     """
     max_power = max((max(lam) for lam in partitions if lam), default=0)
     totals = {lam: 0 for lam in partitions}
@@ -336,33 +363,47 @@ def oracle_power_product_totals(
                 totals[lam] += term
         return totals, count
 
-    incs = increments(family)
-    assign = _assignment_matrix(incs, n)
-    for shape in _plane_shapes(n):
-        parent, _ = _plane_parent_arrays(shape)
-        # anc[v] selects the edges on the root path of v; labels follow as
-        # assignment . anc^T, exactly in int64 (|label| <= n <= 10).
-        anc = np.zeros((n + 1, n), dtype=np.int64)
-        for v in range(1, n + 1):
-            anc[v] = anc[parent[v]]
-            anc[v, v - 1] = 1
-        labels = assign @ anc.T
-        count += assign.shape[0]
-        powers = {0: np.full(assign.shape[0], n + 1, dtype=np.int64)}
+    if (n + 1) * n**max_power >= 2**53:
+        raise ValueError(
+            f"power {max_power} at size {n} exceeds the exact float64 range of the "
+            "plane oracle"
+        )
+    assign_t = _assignment_matrix(increments(family), n).T.astype(np.float64)
+    n_assign = assign_t.shape[1]
+    anc = _plane_root_paths(n)
+    n_shapes = anc.shape[1]
+    step = max(1, _ORACLE_BLOCK // ((n + 1) * n_assign))
+    for s0 in range(0, n_shapes, step):
+        block = anc[:, s0 : s0 + step]
+        rows = (n + 1) * block.shape[1]
+        labels = (block.reshape(rows, n) @ assign_t).reshape(n + 1, -1)
+        width = labels.shape[1]
+        powers = [np.full(width, n + 1, dtype=np.int64)]
         acc = labels.copy()
         for k in range(1, max_power + 1):
-            powers[k] = acc.sum(axis=1)
+            powers.append(acc.sum(axis=0).astype(np.int64))
             if k < max_power:
                 acc *= labels
+        # Products of all but the last power sum, shared between equal prefixes.
+        heads: dict = {}
         for lam in partitions:
+            if not lam:
+                totals[lam] += width
+                continue
             # Product of power sums can exceed int64 for heavy partitions;
             # bound it and switch to Python-int elements when needed.
-            bound = (n + 1) ** len(lam) * n ** sum(lam) * assign.shape[0]
+            bound = (n + 1) ** len(lam) * n ** sum(lam) * width
             dtype = np.int64 if bound < 2**62 else object
-            term = np.ones(assign.shape[0], dtype=dtype)
-            for part in lam:
-                term = term * powers[part].astype(dtype, copy=False)
-            totals[lam] += int(term.sum())
+            head = None
+            for i in range(1, len(lam)):
+                key = (lam[:i], dtype)
+                if key not in heads:
+                    factor = powers[lam[i - 1]].astype(dtype, copy=False)
+                    heads[key] = factor if head is None else head * factor
+                head = heads[key]
+            last = powers[lam[-1]].astype(dtype, copy=False)
+            totals[lam] += int(last.sum() if head is None else head @ last)
+        count += width
     return totals, count
 
 

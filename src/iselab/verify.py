@@ -49,6 +49,7 @@ def criterion_1() -> CriterionResult:
     lams = tuple(positive_partitions(6, 3))
     checked = 0
     for fam in FAMILIES.values():
+        genfun.build_exact_engine(fam, fam.sizes_upto(8))
         for n in fam.sizes_upto(8):
             totals, count = trees.oracle_power_product_totals(fam, n, lams)
             for lam in lams:

@@ -63,6 +63,27 @@ class TestMomentsExact:
         assert float(rows[0][3]) == pytest.approx(math.sqrt(math.pi / 2), rel=1e-15)
         assert rows[1][1] == "14/15*sqrt(1/6)"
 
+    def test_rows_keep_typed_order_with_one_engine_build(self, capsys, monkeypatch):
+        from iselab import genfun
+
+        built = []
+        real_ops = genfun._ExactOps
+
+        def counting_ops(family, order):
+            built.append(order)
+            return real_ops(family, order)
+
+        monkeypatch.setattr(genfun, "_ENGINES", {})
+        monkeypatch.setattr(genfun, "_ExactOps", counting_ops)
+        rc, out, _ = run_cli(
+            capsys,
+            ["moments-exact", "--family", "complete", "--lambda", "2", "--n", "9,3,21,5"],
+        )
+        assert rc == 0
+        _, _, rows = parse_csv(out)
+        assert [row[0] for row in rows] == ["9", "3", "21", "5"]
+        assert built == [10]
+
     def test_exact_string_matches_normalized(self, capsys):
         for family, lam, sizes in [
             ("binary", "2", "2,3,4,5"),

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from iselab import genfun
 from iselab.families import BINARY, COMPLETE_BINARY, PLANE_0PM1, PLANE_PM1
 from iselab.genfun import (
     MAX_EXACT_ORDER,
@@ -148,6 +149,24 @@ class TestMoments:
         assert tab.rows[0][1] == 1
         assert tab.rows[1][1] == Fraction(14, 5)
 
+    def test_moment_table_builds_engine_once_in_typed_order(self, monkeypatch):
+        built = []
+        real_ops = genfun._ExactOps
+
+        def counting_ops(family, order):
+            built.append(order)
+            return real_ops(family, order)
+
+        monkeypatch.setattr(genfun, "_ENGINES", {})
+        monkeypatch.setattr(genfun, "_ExactOps", counting_ops)
+        sizes = (3, 12, 5)
+        tab = moment_table(PLANE_PM1, (2,), sizes)
+        assert built == [12]
+        assert [r[0] for r in tab.rows] == list(sizes)
+        assert [r[1] for r in tab.rows] == [
+            exact_moment(PLANE_PM1, (2,), n).exact for n in sizes
+        ]
+
 
 class TestFourier:
     def test_zero_angle_is_square_node_count(self):
@@ -161,6 +180,27 @@ class TestFourier:
     def test_ratio_bounded_on_sample_grid(self):
         for u in (0.3, 1.0, 2.4):
             assert 0.0 <= lemma_L3_ratio(BINARY, 20, u) < 20.0
+
+    @pytest.mark.parametrize(
+        "family,at_zero,at_three,at_minus_seven",
+        [
+            (BINARY, 570118457724510880, 245607651289765958, 22831488131227788),
+            (COMPLETE_BINARY, 1947689831988295440, 1105145592854153614, 139473678532309154),
+        ],
+    )
+    def test_profile_series_stays_in_integers(
+        self, family, at_zero, at_three, at_minus_seven
+    ):
+        series = profile_correlation_series(family, 30)
+        assert all(type(c) is int for poly in series.coeffs for c in poly.coeffs)
+        top = series.coeff(30)
+        assert (top.coeff(0), top.coeff(3), top.coeff(-7)) == (
+            at_zero,
+            at_three,
+            at_minus_seven,
+        )
+        n = family.size_of_index(30)
+        assert top.at_one() == family.count(n) * family.node_count(n) ** 2
 
     def test_max_order_guard(self):
         with pytest.raises(ValueError, match="MAX_EXACT_ORDER"):

@@ -15,6 +15,50 @@ from iselab.grandmoments import (
     limit_moment_exc,
     limit_moment_ise,
 )
+from iselab.partitions import positive_partitions
+
+
+def _naive_rec(lam, cache, zero_slope, lower_terms):
+    """Reference c/d recursion summing over all 2^p index masks."""
+    if lam == ():
+        return Fraction(-2)
+    if lam in cache:
+        return cache[lam]
+    p = len(lam)
+    if lam[0] == 0:
+        val = (p + Fraction(sum(lam)) * zero_slope - Fraction(3, 2)) * _naive_rec(
+            lam[1:], cache, zero_slope, lower_terms
+        )
+    else:
+        val = Fraction(0)
+        for mask in range(1, (1 << p) - 1):
+            left = tuple(lam[i] for i in range(p) if mask >> i & 1)
+            right = tuple(lam[i] for i in range(p) if not mask >> i & 1)
+            val += _naive_rec(left, cache, zero_slope, lower_terms) * _naive_rec(
+                right, cache, zero_slope, lower_terms
+            )
+        val /= 4
+        for w, sub in lower_terms(lam):
+            val += w * _naive_rec(tuple(sorted(sub)), cache, zero_slope, lower_terms)
+    cache[lam] = val
+    return val
+
+
+def _c_lower(lam):
+    for i, k in enumerate(lam):
+        if k >= 2:
+            yield k * (k - 1) // 2, lam[:i] + (k - 2,) + lam[i + 1 :]
+    for i in range(len(lam)):
+        for j in range(i + 1, len(lam)):
+            parts = list(lam)
+            parts[i] -= 1
+            parts[j] -= 1
+            yield lam[i] * lam[j], parts
+
+
+def _d_lower(lam):
+    for i, k in enumerate(lam):
+        yield k, lam[:i] + (k - 1,) + lam[i + 1 :]
 
 
 class TestExactConstants:
@@ -50,6 +94,20 @@ class TestExactConstants:
                     continue
                 lam = (1,) * (2 * k) + (2,) * ell
                 assert a_coeff2(k, ell) == c_lambda(lam)
+
+
+class TestSubMultisetRecursion:
+    CASES = list(positive_partitions(8, 6)) + [(1,) * 12, (0, 1, 1, 2)]
+
+    def test_c_matches_mask_recursion(self):
+        cache: dict = {}
+        for lam in self.CASES:
+            assert c_lambda(lam) == _naive_rec(lam, cache, Fraction(1, 4), _c_lower)
+
+    def test_d_matches_mask_recursion(self):
+        cache: dict = {}
+        for lam in self.CASES:
+            assert d_lambda(lam) == _naive_rec(lam, cache, Fraction(1, 2), _d_lower)
 
 
 class TestLimitMoments:

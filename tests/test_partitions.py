@@ -1,5 +1,6 @@
 """Partition utilities, Stirling conversions, shifted polynomial bases."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from iselab.partitions import (
     power_shift_poly,
     stirling2,
     stirling_expansions,
+    sub_multisets,
     weight,
 )
 
@@ -121,6 +123,38 @@ class TestExpansions:
     def test_rejects_zero_parts(self):
         with pytest.raises(ValueError):
             list(stirling_expansions((0, 1)))
+
+    def test_sub_multisets_small(self):
+        got = sorted(sub_multisets((1, 1, 2)))
+        assert got == [
+            (1, (), (1, 1, 2)),
+            (1, (1, 1), (2,)),
+            (1, (1, 1, 2), ()),
+            (1, (2,), (1, 1)),
+            (2, (1,), (1, 2)),
+            (2, (1, 2), (1,)),
+        ]
+        assert list(sub_multisets(())) == [(1, (), ())]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(min_value=0, max_value=4), max_size=8))
+    def test_sub_multisets_match_index_masks(self, parts):
+        lam = tuple(sorted(parts))
+        p = len(lam)
+        splits = list(sub_multisets(lam))
+        assert sum(w for w, _, _ in splits) == 2**p
+        for _, left, right in splits:
+            assert left == tuple(sorted(left)) and right == tuple(sorted(right))
+            assert tuple(sorted(left + right)) == lam
+        masks = Counter(
+            (
+                tuple(lam[i] for i in range(p) if mask >> i & 1),
+                tuple(lam[i] for i in range(p) if not mask >> i & 1),
+            )
+            for mask in range(1 << p)
+        )
+        assert {(left, right): w for w, left, right in splits} == dict(masks)
+        assert len(splits) == len(masks)
 
     def test_fraction_sum(self):
         assert fraction_sum([Fraction(1, 3), Fraction(1, 6)]) == Fraction(1, 2)

@@ -259,6 +259,16 @@ class TestLaurentPoly:
         q = p.divide_monomial(2, 1)
         assert q.coeff(0) == 1 and q.coeff(1) == 2
 
+    def test_divide_monomial_by_unit_stays_int(self):
+        p = LaurentPoly([3, -5, 7], lo=-1)
+        for c in (1, -1):
+            q = p.divide_monomial(c, 2)
+            assert all(type(a) is int for a in q.coeffs)
+            assert q == LaurentPoly([Fraction(a) / c for a in p.coeffs], lo=-3)
+        half = LaurentPoly([1, Fraction(1, 2)]).divide_monomial(-1, 0)
+        assert half == LaurentPoly([-1, Fraction(-1, 2)])
+        assert all(type(a) is Fraction for a in p.divide_monomial(3, 0).coeffs)
+
     def test_monomial_term_detection(self):
         assert LaurentPoly([5], lo=3).monomial_term() == (5, 3)
         assert LaurentPoly([1, 1], lo=0).monomial_term() is None

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from iselab import trees
 from iselab.families import BINARY, COMPLETE_BINARY, PLANE_0PM1, PLANE_PM1, increments
 from iselab.trees import (
     LabelledTree,
@@ -181,6 +182,50 @@ class TestOracle:
             slow += s1 * s1 * s2
         assert seen == count
         assert totals[lam] == slow
+
+    @pytest.mark.parametrize("family", [PLANE_PM1, PLANE_0PM1])
+    @pytest.mark.parametrize("block", [None, 500])
+    def test_plane_blocks_match_per_object_loop(self, family, block, monkeypatch):
+        # At n <= 5 the default block holds every shape; 500 label entries
+        # give blocks of one to six shapes at n = 4 and 5 and a shorter last
+        # block where the shape count does not divide (14 = 6 + 6 + 2).
+        if block is not None:
+            monkeypatch.setattr(trees, "_ORACLE_BLOCK", block)
+        # (10, 10, 10) overflows the int64 bound and takes the Python-int path.
+        lams = [(), (1,), (2, 2), (1, 1, 4), (10, 10, 10)]
+        for n in range(6):
+            totals, count = oracle_power_product_totals(family, n, lams)
+            want = {lam: 0 for lam in lams}
+            seen = 0
+            for t in enumerate_trees(family, n):
+                seen += 1
+                labels = [int(x) for x in t.label]
+                for lam in lams:
+                    term = 1
+                    for part in lam:
+                        term *= sum(x**part for x in labels)
+                    want[lam] += term
+            assert count == seen == family.count(n)
+            assert totals == want
+
+    def test_plane_power_sums_exact_up_to_float_range(self):
+        # 5 * 4^25 < 2^53 <= 5 * 4^26: the largest power accepted at n = 4.
+        totals, _ = oracle_power_product_totals(PLANE_PM1, 4, [(25,)])
+        slow = sum(
+            sum(int(x) ** 25 for x in t.label) for t in enumerate_trees(PLANE_PM1, 4)
+        )
+        assert totals[(25,)] == slow
+
+    def test_plane_refuses_powers_past_float_range(self):
+        # The true total needs more than 64 bits; int64 power sums wrapped.
+        slow = sum(
+            sum(int(x) ** 32 for x in t.label) for t in enumerate_trees(PLANE_PM1, 4)
+        )
+        assert slow == 36945373434261461040 > 2**64
+        with pytest.raises(ValueError, match="exact float64 range"):
+            oracle_power_product_totals(PLANE_PM1, 4, [(32,)])
+        with pytest.raises(ValueError, match="exact float64 range"):
+            oracle_power_product_totals(PLANE_PM1, 4, [(2,), (1, 26)])
 
     def test_even_complete_size_rejected(self):
         with pytest.raises(ValueError, match="invalid"):
