@@ -237,9 +237,9 @@ def _h_profile(args) -> tuple[list[str], list[list], dict, int]:
 def _h_mgf(args) -> tuple[list[str], list[list], dict, int]:
     cfg = _quad_config(args)
     avals = _parse_grid(args.a)
-    rows = [[float(a), numerics.mgf_L(args.x, float(a), cfg)] for a in avals]
+    rows = [[float(a), *numerics.mgf_L_with_error(args.x, float(a), cfg)] for a in avals]
     meta = {"x": args.x, "a": args.a}
-    return (["a", "L"], rows, meta, 0)
+    return (["a", "L", "err"], rows, meta, 0)
 
 
 def _h_mean_density(args) -> tuple[list[str], list[list], dict, int]:

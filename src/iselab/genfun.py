@@ -121,16 +121,15 @@ class _FloatOps:
 
         self.order = order
         self._base = family.growth_base
-        f = np.empty(order + 1)
-        f[0] = 1.0
-        for n in range(order):
-            f[n + 1] = f[n] * (4 * n + 2) / (4 * (n + 2))
-        self.f0 = FloatSeries(f)
-        b = np.empty(order + 1)
-        b[0] = 1.0
-        for n in range(order):
-            b[n + 1] = b[n] * (n - 0.5) / (n + 1)
-        self._sqrt = FloatSeries(b)
+        k = np.arange(order, dtype=np.float64)
+
+        def from_ratios(r):
+            return FloatSeries(np.cumprod(np.concatenate([[1.0], r])))
+
+        self.f0 = from_ratios((4 * k + 2) / (4 * (k + 2)))
+        # 1/sqrt(1 - tau) = sum C(2k,k)/4^k tau^k, so dividing by the root
+        # is one product.
+        self._inv_sqrt = from_ratios((2 * k + 1) / (2 * k + 2))
 
     def zero(self) -> FloatSeries:
         return FloatSeries.zero(self.order)
@@ -139,7 +138,7 @@ class _FloatOps:
         return s.shift(1) * (1.0 / self._base)
 
     def sqrt_div(self, s: FloatSeries) -> FloatSeries:
-        return s / self._sqrt
+        return s * self._inv_sqrt
 
 
 def _apply_node_mult(s: Series, a: int, b: int) -> Series:

@@ -162,9 +162,20 @@ class TestNumericCommands:
         rc, out, _ = run_cli(capsys, ["mgf", "--a", "0,0.5"])
         assert rc == 0
         _, header, rows = parse_csv(out)
-        assert header == ["a", "L"]
+        assert header == ["a", "L", "err"]
         assert float(rows[0][1]) == 1.0
+        assert float(rows[0][2]) == 0.0
         assert float(rows[1][1]) > 1.0
+        assert 0.0 <= float(rows[1][2]) <= 1e-10
+
+    def test_mgf_tol_refuses_wide_gap(self, capsys):
+        # At 0.99 of the branch radius the rule gap is about 7e-11: inside
+        # the default bound of 1e-10, outside --tol 1e-12.
+        argv = ["mgf", "--a", "2.2863"]
+        assert run_cli(capsys, argv)[0] == 0
+        rc, _, err = run_cli(capsys, argv + ["--tol", "1e-12"])
+        assert rc == 3
+        assert "exceeds bound" in err
 
     def test_mgf_domain_error(self, capsys):
         rc, _, err = run_cli(capsys, ["mgf", "--a", "2.5"])

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from iselab.grandmoments import density0_moment
@@ -15,6 +16,7 @@ from iselab.numerics import (
     mean_density_quadrature,
     mean_density_series,
     mgf_L,
+    mgf_L_with_error,
     solve_A,
 )
 
@@ -87,6 +89,26 @@ class TestBranchTracking:
         assert a.real < 2.0 - math.sqrt(3.0)
         assert a.real == pytest.approx(2.0 - math.sqrt(3.0), abs=1e-3)
 
+    def test_array_matches_scalar_calls(self):
+        ys = np.array(
+            [r * complex(math.cos(arg), math.sin(arg))
+             for r in (0.0, 0.3, 1.5, 2.2) for arg in (0.0, 1.0, 2.5, 4.0)]
+        ).reshape(4, 4)
+        got = solve_A(ys)
+        assert got.shape == ys.shape
+        for y, a in zip(ys.ravel(), got.ravel()):
+            assert abs(a - solve_A(complex(y))) <= 1e-15
+
+    def test_array_near_branch_point(self):
+        ys = np.linspace(-0.999, 0.999, 2001) * MGF_A_RADIUS
+        got = solve_A(ys)
+        for y, a in zip(ys, got):
+            assert abs(a - solve_A(y)) <= 1e-15
+
+    def test_scalar_returns_complex(self):
+        for y in (0.5, 1.5 + 0.5j, np.float64(0.5), np.complex128(0.3j)):
+            assert type(solve_A(y)) is complex
+
     def test_contour_point_rays(self):
         up = contour_point(1.0)
         lo = contour_point(-1.0)
@@ -128,3 +150,49 @@ class TestContourTransform:
 
     def test_radius_value(self):
         assert MGF_A_RADIUS == pytest.approx(4.0 / math.sqrt(3.0), rel=1e-16)
+
+
+# L(x, f * 4/sqrt(3)) from 30-digit mpmath quadrature of the same contour.
+PINNED_L = {
+    (0.0, -0.98): 0.380390175761856756,
+    (0.0, 0.3): 1.42232488526682395,
+    (0.0, 0.98): 3.49500113121325915,
+    (1.0, -0.98): 0.680921763557383185,
+    (1.0, 0.3): 1.17220478641641206,
+    (1.0, 0.98): 1.85304446315168320,
+    (2.0, -0.98): 0.927350451114292400,
+    (2.0, 0.3): 1.03216620546350706,
+    (2.0, 0.98): 1.13696662284279425,
+}
+
+
+@pytest.mark.filterwarnings("error")
+class TestContourRule:
+    @pytest.mark.parametrize("x, frac", sorted(PINNED_L))
+    def test_pinned_values(self, x, frac):
+        assert mgf_L(x, frac * MGF_A_RADIUS) == pytest.approx(
+            PINNED_L[(x, frac)], rel=1e-12
+        )
+
+    @pytest.mark.parametrize("x", (0.0, 0.5, 1.0, 2.05))
+    def test_benchmark_domain_accepted(self, x):
+        for frac in np.linspace(-0.985, 0.985, 21):
+            value, err = mgf_L_with_error(x, frac * MGF_A_RADIUS)
+            assert math.isfinite(value) and value > 0
+            assert err <= DEFAULT_QUADRATURE.abs_tol
+            assert mgf_L(x, frac * MGF_A_RADIUS) == value
+
+    def test_error_at_zero(self):
+        assert mgf_L_with_error(0.5, 0.0) == (1.0, 0.0)
+
+    def test_refused_near_branch_radius(self):
+        with pytest.raises(ToleranceError, match="gap .* exceeds bound"):
+            mgf_L(0.0, 0.995 * MGF_A_RADIUS)
+
+    def test_tolerance_is_honoured(self):
+        a = 0.99 * MGF_A_RADIUS
+        _, err = mgf_L_with_error(0.0, a)
+        assert 0.0 < err <= DEFAULT_QUADRATURE.abs_tol
+        tight = QuadratureConfig(abs_tol=err / 2, rel_tol=err / 8)
+        with pytest.raises(ToleranceError):
+            mgf_L(0.0, a, tight)
