@@ -2,9 +2,11 @@
 
 Binary trees are drawn by growing a uniform full binary tree one leaf at
 a time and reading off its internal nodes; plane trees come from uniform
-Dyck paths built with the cycle lemma.  Both are exactly uniform and run
-in O(n).  Seeding is counter-based (Philox), so distinct stream ids give
-provably non-overlapping streams.
+Dyck paths built with the cycle lemma.  Both are exactly uniform and are
+built from array operations in O(n log n) time: a sort of the draws and
+log2(n) rounds of pointer doubling, with no Python loop over nodes.
+Seeding is counter-based (Philox), so distinct stream ids give provably
+non-overlapping streams.
 """
 
 from __future__ import annotations
@@ -59,117 +61,126 @@ def sample_binary(n: int, seed: SeedLike) -> LabelledTree:
     Grows the associated full binary tree with n internal nodes by uniform
     leaf insertion (each step picks one of the 2j-1 existing nodes and a
     side), which makes every shape appear with probability 1/Catalan(n).
+    Step k makes internal node 2k+1 and leaf 2k+2 above the picked node;
+    the final tree is read off the picks in array operations, and the
+    internal nodes keep their step order as ids.
     """
     if n < 1:
         raise ValueError("binary trees need at least one node")
     rng = _rng(seed)
-    total = 2 * n + 1
     picks = rng.integers(0, np.arange(1, 2 * n, 2))
     sides = rng.integers(0, 2, size=n)
-    parent = [-1] * total
-    child_l = [-1] * total
-    child_r = [-1] * total
-    for j in range(1, n + 1):
-        u = int(picks[j - 1])
-        w = 2 * j - 1
-        leaf = 2 * j
-        p = parent[u]
-        parent[w] = p
-        if p >= 0:
-            if child_l[p] == u:
-                child_l[p] = w
-            else:
-                child_r[p] = w
-        if sides[j - 1]:
-            child_l[w], child_r[w] = u, leaf
-        else:
-            child_l[w], child_r[w] = leaf, u
-        parent[u] = w
-        parent[leaf] = w
 
-    parent_np = np.array(parent, dtype=np.int64)
-    child_r_np = np.array(child_r, dtype=np.int64)
-    internal = np.array(child_l, dtype=np.int64) >= 0
-    ids = np.cumsum(internal) - 1
-    orig = np.flatnonzero(internal)
-    p_orig = parent_np[orig]
-    at_root = p_orig < 0
-    safe_p = np.where(at_root, 0, p_orig)
-    tree_parent = np.where(at_root, -1, ids[safe_p]).astype(np.int64)
-    is_right = (child_r_np[safe_p] == orig) & ~at_root
-    role = is_right.astype(np.int64)
+    # Each slot ends up holding the end of a chain: when its occupant x is
+    # first picked, the node made at that step takes x's slot.  ptr[x] is
+    # that node, or x if x is never picked; top[x] is the end of x's chain.
+    order = picks.argsort(kind="stable")
+    by_node = picks[order]
+    made = 2 * order + 1
+    again = by_node[1:] == by_node[:-1]
+    first = np.ones(n, dtype=bool)
+    first[1:] = ~again
+    ptr = np.arange(2 * n + 1)
+    ptr[by_node[first]] = made[first]
+    top, _ = _climb(ptr)
 
-    label = _path_sums(tree_parent, np.where(is_right, 1, -1) * ~at_root)
-    depth = _path_sums(tree_parent, (~at_root).astype(np.int64))
-    return LabelledTree(BINARY, tree_parent, role, label, depth)
+    # Under the node made at step k, the picked node's slot passes to the
+    # node made at the next step that picks the same node, if any; the new
+    # leaf's slot starts with that leaf.  sides[k] puts the picked node left.
+    picked_child = by_node.copy()
+    picked_child[:-1][again] = top[made[1:][again]]
+    leaf_child = top[2::2]
+    full_parent = np.empty(2 * n + 1, dtype=np.int64)
+    full_role = np.empty(2 * n + 1, dtype=np.int64)
+    full_parent[picked_child] = order
+    full_role[picked_child] = 1 - sides[order]
+    full_parent[leaf_child] = np.arange(n)
+    full_role[leaf_child] = sides
+    full_parent[top[0]] = -1
+    full_role[top[0]] = 0
+    parent = full_parent[1::2]
+    role = full_role[1::2]
 
-
-def _path_sums(parent: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    """Sum of per-node deltas along root paths, by pointer doubling."""
-    n = len(parent)
-    total = np.asarray(delta, dtype=np.int64).copy()
+    # One root-path sum carries the depth in the high bits and the number
+    # of right turns in the low bits; label = rights - lefts.
+    root = top[0] >> 1
     hop = parent.copy()
-    root = int(np.flatnonzero(parent < 0)[0])
     hop[root] = root
-    rounds = max(1, math.ceil(math.log2(n))) + 1 if n > 1 else 0
-    for _ in range(rounds):
-        total += total[hop]
+    packed = (1 << 32) + role
+    packed[root] = 0
+    _, total = _climb(hop, packed)
+    depth = total >> 32
+    label = 2 * (total & 0xFFFFFFFF) - depth
+    return LabelledTree(BINARY, parent, role, label, depth)
+
+
+def _climb(
+    hop: np.ndarray, acc: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Ends of the pointer chains of hop and sums of acc along them.
+
+    hop[v] is the next node up from v, or v itself at the end of a chain,
+    where acc must be 0.  A chain through m nodes has at most m - 1 hops,
+    and round r of pointer doubling covers 2^r of them.
+    """
+    for _ in range((len(hop) - 2).bit_length()):
+        if acc is not None:
+            acc = acc + acc[hop]
         hop = hop[hop]
-    return total
+    return hop, acc
+
+
+def _dyck_steps(n: int, rng: np.random.Generator) -> np.ndarray:
+    """The 2n +-1 steps of a uniform Dyck path, by the cycle lemma.
+
+    Shuffle n up and n+1 down steps, rotate to start just past the first
+    minimum of the walk, and drop the final forced down step.
+    """
+    steps = np.ones(2 * n + 1, dtype=np.int64)
+    steps[n:] = -1
+    rng.shuffle(steps)
+    cut = steps.cumsum().argmin()
+    return np.concatenate([steps[cut + 1 :], steps[:cut]])
 
 
 def sample_plane(n: int, family: TreeFamily, seed: SeedLike) -> LabelledTree:
     """Uniform plane tree with n edges plus iid uniform edge increments.
 
-    The shape comes from a uniform Dyck path: shuffle n up and n+1 down
-    steps, rotate to start just past the first minimum of the walk, and
-    drop the final forced down step.  Increments are drawn after the
-    shuffle, one per edge in preorder.
+    The shape comes from a uniform Dyck path, whose up steps are the nodes
+    in preorder.  Increments are drawn after the shuffle, one per edge in
+    preorder.
     """
     if family.name not in ("plane_pm1", "plane_0pm1"):
         raise ValueError("sample_plane needs one of the two plane families")
     if n < 0:
         raise ValueError("edge count must be non-negative")
     rng = _rng(seed)
-    if n == 0:
-        z = np.zeros(1, dtype=np.int64)
-        return LabelledTree(family, z - 1, z.copy(), z.copy(), z.copy())
+    dyck = _dyck_steps(n, rng)
+    depth = np.zeros(n + 1, dtype=np.int64)
+    depth[1:] = dyck.cumsum()[dyck > 0]
 
-    steps = np.concatenate(
-        [np.ones(n, dtype=np.int64), -np.ones(n + 1, dtype=np.int64)]
-    )
-    rng.shuffle(steps)
-    walk = np.cumsum(steps)
-    cut = int(np.argmin(walk))
-    dyck = np.concatenate([steps[cut + 1 :], steps[: cut + 1]])[: 2 * n]
-
+    # Sorted by (depth, id), the parent of v is the last node one level up
+    # with a smaller id.  Siblings are adjacent in this order and their
+    # parents' positions never decrease.
+    keys = depth * (n + 1) + np.arange(n + 1)
+    keys.sort()
+    ids = keys % (n + 1)
+    up = keys.searchsorted(keys[1:] - (n + 1)) - 1
     parent = np.empty(n + 1, dtype=np.int64)
-    role = np.zeros(n + 1, dtype=np.int64)
-    child_count = [0] * (n + 1)
     parent[0] = -1
-    stack = [0]
-    nxt = 1
-    for s in dyck:
-        if s == 1:
-            top = stack[-1]
-            parent[nxt] = top
-            role[nxt] = child_count[top]
-            child_count[top] += 1
-            stack.append(nxt)
-            nxt += 1
-        else:
-            stack.pop()
+    parent[ids[1:]] = ids[up]
+    role = np.zeros(n + 1, dtype=np.int64)
+    role[ids[1:]] = np.arange(n) - up.searchsorted(up)
 
     if family.name == "plane_pm1":
         incs = 2 * rng.integers(0, 2, size=n) - 1
     else:
         incs = rng.integers(0, 3, size=n) - 1
-    label = np.zeros(n + 1, dtype=np.int64)
-    depth = np.zeros(n + 1, dtype=np.int64)
-    for v in range(1, n + 1):
-        p = parent[v]
-        label[v] = label[p] + incs[v - 1]
-        depth[v] = depth[p] + 1
+    hop = parent.copy()
+    hop[0] = 0
+    acc = np.zeros(n + 1, dtype=np.int64)
+    acc[1:] = incs
+    _, label = _climb(hop, acc)
     return LabelledTree(family, parent, role, label, depth)
 
 
@@ -237,15 +248,7 @@ def sample_dyck_path(n: int, seed: SeedLike) -> np.ndarray:
     """Heights w(1..2n) of a uniform Dyck path of length 2n (w(2n) = 0)."""
     if n < 1:
         raise ValueError("path length must be positive")
-    rng = _rng(seed)
-    steps = np.concatenate(
-        [np.ones(n, dtype=np.int64), -np.ones(n + 1, dtype=np.int64)]
-    )
-    rng.shuffle(steps)
-    walk = np.cumsum(steps)
-    cut = int(np.argmin(walk))
-    dyck = np.concatenate([steps[cut + 1 :], steps[: cut + 1]])[: 2 * n]
-    return np.cumsum(dyck)
+    return _dyck_steps(n, _rng(seed)).cumsum()
 
 
 def dyck_moment(heights: np.ndarray, lam: Sequence[int]) -> float:

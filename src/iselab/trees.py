@@ -50,28 +50,41 @@ class LabelledTree:
         return self.n_nodes
 
     def validate(self) -> None:
-        """Check structural and labelling invariants; raises on violation."""
-        n = self.n_nodes
+        """Check structural and labelling invariants; raises on violation.
+
+        Binary and complete children must carry role 0 (left) or 1
+        (right), at most one of each per parent; plane children must carry
+        their sibling ranks 0..k-1 in id order.
+        """
         roots = np.flatnonzero(self.parent < 0)
         if len(roots) != 1:
             raise ValueError("tree must have exactly one root")
         r = roots[0]
         if self.label[r] != 0 or self.depth[r] != 0:
             raise ValueError("root must carry label 0 and depth 0")
-        incs = set(increments(self.family))
-        for v in range(n):
-            p = self.parent[v]
-            if p < 0:
-                continue
-            if self.depth[v] != self.depth[p] + 1:
-                raise ValueError("depth must increase by 1 along edges")
-            step = int(self.label[v] - self.label[p])
-            if self.family.name in ("binary", "complete"):
-                want = 1 if self.child_role[v] == 1 else -1
-                if step != want:
-                    raise ValueError("binary labels must follow the left/right rule")
-            elif step not in incs:
-                raise ValueError(f"label increment {step} outside {sorted(incs)}")
+        kids = np.flatnonzero(self.parent >= 0)
+        par = self.parent[kids]
+        if np.any(self.depth[kids] != self.depth[par] + 1):
+            raise ValueError("depth must increase by 1 along edges")
+        role = self.child_role[kids]
+        step = self.label[kids] - self.label[par]
+        if self.family.name in ("binary", "complete"):
+            if np.any((role != 0) & (role != 1)):
+                raise ValueError("binary child roles must be 0 (left) or 1 (right)")
+            if len(np.unique(2 * par + role)) != len(kids):
+                raise ValueError("binary siblings must have distinct roles")
+            if np.any(step != 2 * role - 1):
+                raise ValueError("binary labels must follow the left/right rule")
+            return
+        order = par.argsort(kind="stable")
+        by_parent = par[order]
+        rank = np.arange(len(kids)) - by_parent.searchsorted(by_parent)
+        if np.any(role[order] != rank):
+            raise ValueError("plane sibling ranks must run 0..k-1 in id order")
+        incs = increments(self.family)
+        bad = ~np.isin(step, incs)
+        if bad.any():
+            raise ValueError(f"label increment {int(step[bad][0])} outside {sorted(incs)}")
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 """Random samplers: determinism, structural validity, and moment agreement."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,138 @@ from iselab.sampler import (
     sample_tree,
     tree_moment,
 )
-from iselab.trees import vertical_profile
+from iselab.trees import LabelledTree, vertical_profile
+
+
+# Reference samplers: the per-node loops the array samplers replaced,
+# kept to pin their draws bit for bit (same Philox stream, same arrays).
+def _reference_binary(n, rng):
+    total = 2 * n + 1
+    picks = rng.integers(0, np.arange(1, 2 * n, 2))
+    sides = rng.integers(0, 2, size=n)
+    parent = [-1] * total
+    child_l = [-1] * total
+    child_r = [-1] * total
+    for j in range(1, n + 1):
+        u = int(picks[j - 1])
+        w = 2 * j - 1
+        leaf = 2 * j
+        p = parent[u]
+        parent[w] = p
+        if p >= 0:
+            if child_l[p] == u:
+                child_l[p] = w
+            else:
+                child_r[p] = w
+        if sides[j - 1]:
+            child_l[w], child_r[w] = u, leaf
+        else:
+            child_l[w], child_r[w] = leaf, u
+        parent[u] = w
+        parent[leaf] = w
+
+    parent_np = np.array(parent, dtype=np.int64)
+    child_r_np = np.array(child_r, dtype=np.int64)
+    internal = np.array(child_l, dtype=np.int64) >= 0
+    ids = np.cumsum(internal) - 1
+    orig = np.flatnonzero(internal)
+    p_orig = parent_np[orig]
+    at_root = p_orig < 0
+    safe_p = np.where(at_root, 0, p_orig)
+    tree_parent = np.where(at_root, -1, ids[safe_p]).astype(np.int64)
+    is_right = (child_r_np[safe_p] == orig) & ~at_root
+    role = is_right.astype(np.int64)
+
+    label = _reference_path_sums(tree_parent, np.where(is_right, 1, -1) * ~at_root)
+    depth = _reference_path_sums(tree_parent, (~at_root).astype(np.int64))
+    return LabelledTree(BINARY, tree_parent, role, label, depth)
+
+
+def _reference_path_sums(parent, delta):
+    n = len(parent)
+    total = np.asarray(delta, dtype=np.int64).copy()
+    hop = parent.copy()
+    root = int(np.flatnonzero(parent < 0)[0])
+    hop[root] = root
+    rounds = max(1, math.ceil(math.log2(n))) + 1 if n > 1 else 0
+    for _ in range(rounds):
+        total += total[hop]
+        hop = hop[hop]
+    return total
+
+
+def _reference_dyck_steps(n, rng):
+    steps = np.concatenate(
+        [np.ones(n, dtype=np.int64), -np.ones(n + 1, dtype=np.int64)]
+    )
+    rng.shuffle(steps)
+    walk = np.cumsum(steps)
+    cut = int(np.argmin(walk))
+    return np.concatenate([steps[cut + 1 :], steps[: cut + 1]])[: 2 * n]
+
+
+def _reference_plane(n, family, rng):
+    if n == 0:
+        z = np.zeros(1, dtype=np.int64)
+        return LabelledTree(family, z - 1, z.copy(), z.copy(), z.copy())
+    dyck = _reference_dyck_steps(n, rng)
+
+    parent = np.empty(n + 1, dtype=np.int64)
+    role = np.zeros(n + 1, dtype=np.int64)
+    child_count = [0] * (n + 1)
+    parent[0] = -1
+    stack = [0]
+    nxt = 1
+    for s in dyck:
+        if s == 1:
+            top = stack[-1]
+            parent[nxt] = top
+            role[nxt] = child_count[top]
+            child_count[top] += 1
+            stack.append(nxt)
+            nxt += 1
+        else:
+            stack.pop()
+
+    if family.name == "plane_pm1":
+        incs = 2 * rng.integers(0, 2, size=n) - 1
+    else:
+        incs = rng.integers(0, 3, size=n) - 1
+    label = np.zeros(n + 1, dtype=np.int64)
+    depth = np.zeros(n + 1, dtype=np.int64)
+    for v in range(1, n + 1):
+        p = parent[v]
+        label[v] = label[p] + incs[v - 1]
+        depth[v] = depth[p] + 1
+    return LabelledTree(family, parent, role, label, depth)
+
+
+def _reference_dyck_path(n, rng):
+    return np.cumsum(_reference_dyck_steps(n, rng))
+
+
+def _reference_draw(family, n, rng):
+    if family is BINARY:
+        return _reference_binary(n, rng)
+    return _reference_plane(n, family, rng)
+
+
+def _assert_same_tree(got, want):
+    assert got.family is want.family
+    for field in ("parent", "child_role", "label", "depth"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype, field
+        assert np.array_equal(a, b), field
+
+
+FAMILIES = [BINARY, PLANE_PM1, PLANE_0PM1]
+# (sizes, seeds per size): every size up to 11, a few medium ones, and
+# the 65536 used by the large Monte Carlo checks.
+IDENTITY_CASES = [
+    pytest.param(range(12), 300, id="n0-11"),
+    pytest.param((50, 333, 4096), 5, id="medium"),
+    pytest.param((65536,), 1, id="n65536"),
+]
 
 
 class TestSeedSpec:
@@ -92,6 +225,40 @@ class TestTreeSamplers:
     def test_max_label(self):
         t = sample_binary(100, SeedSpec(8))
         assert max_label(t) == int(np.abs(t.label).max())
+
+
+class TestReferenceIdentity:
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.name)
+    @pytest.mark.parametrize("sizes, seeds", IDENTITY_CASES)
+    def test_draws_equal_reference(self, family, sizes, seeds):
+        for n in sizes:
+            if not family.valid_size(n):
+                continue
+            for seed in range(seeds):
+                got = sample_tree(family, n, SeedSpec(seed))
+                _assert_same_tree(got, _reference_draw(family, n, SeedSpec(seed).generator()))
+                got.validate()
+
+    @pytest.mark.parametrize(
+        "family, n",
+        [(f, n) for f in FAMILIES for n in (0, 1, 7, 40) if f.valid_size(n)],
+        ids=lambda x: getattr(x, "name", x),
+    )
+    def test_stream_order(self, family, n):
+        # Two draws in a row from one generator consume the stream as the
+        # reference loops did.
+        rng, ref = SeedSpec(21).generator(), SeedSpec(21).generator()
+        for _ in range(2):
+            _assert_same_tree(sample_tree(family, n, rng), _reference_draw(family, n, ref))
+        assert np.array_equal(rng.integers(0, 2**63, 4), ref.integers(0, 2**63, 4))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 2048])
+    def test_dyck_path_equals_reference(self, n):
+        for seed in range(20):
+            got = sample_dyck_path(n, SeedSpec(seed))
+            want = _reference_dyck_path(n, SeedSpec(seed).generator())
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
 
 
 class TestDensityAndMoments:

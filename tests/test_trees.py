@@ -64,6 +64,24 @@ class TestLabelledTree:
         with pytest.raises(ValueError, match="increment"):
             bad.validate()
 
+    def test_validate_rejects_binary_role_outside_left_right(self):
+        bad = _tree(BINARY, [-1, 0], [0, 2], [0, -1], [0, 1])
+        with pytest.raises(ValueError, match="roles must be 0"):
+            bad.validate()
+
+    def test_validate_rejects_binary_siblings_sharing_a_role(self):
+        # Two left children: every label and depth is right.
+        bad = _tree(COMPLETE_BINARY, [-1, 0, 0], [0, 0, 0], [0, -1, -1], [0, 1, 1])
+        with pytest.raises(ValueError, match="distinct roles"):
+            bad.validate()
+
+    @pytest.mark.parametrize("role", [[0, 1, 0], [0, 0, 0], [0, 1, 2]])
+    def test_validate_rejects_plane_sibling_ranks(self, role):
+        # Root with two children: the ranks must read 0, 1 in id order.
+        bad = _tree(PLANE_PM1, [-1, 0, 0], role, [0, 1, -1], [0, 1, 1])
+        with pytest.raises(ValueError, match="sibling ranks"):
+            bad.validate()
+
 
 class TestProfiles:
     def test_from_values(self):
@@ -111,9 +129,12 @@ class TestEnumeration:
         assert len(trees) == family.count(n)
 
     def test_enumerated_trees_validate(self):
-        for family, n in [(BINARY, 4), (COMPLETE_BINARY, 5), (PLANE_PM1, 3), (PLANE_0PM1, 2)]:
-            for t in enumerate_trees(family, n):
-                t.validate()
+        cases = [(BINARY, range(1, 9)), (COMPLETE_BINARY, range(1, 12, 2)),
+                 (PLANE_PM1, range(6)), (PLANE_0PM1, range(5))]
+        for family, sizes in cases:
+            for n in sizes:
+                for t in enumerate_trees(family, n):
+                    t.validate()
 
     def test_plane_labellings_distinct(self):
         seen = set()
