@@ -4,6 +4,9 @@ Exact generating-function recurrences for joint label-moment expectations
 in four tree families, the grand-moment recurrences of their common limit
 measure, uniform samplers with deterministic seeding, and the quadrature,
 series, and contour routes to the limit's mean density and MGF.
+
+The package level holds the main entry points; everything else is
+reached through its module (iselab.genfun, iselab.trees, ...).
 """
 
 from .families import (
@@ -13,87 +16,43 @@ from .families import (
     PLANE_0PM1,
     PLANE_PM1,
     TreeFamily,
-    catalan,
     get_family,
-    increments,
 )
 from .genfun import (
-    ExactMoment,
-    MomentTable,
     exact_moment,
     f_series,
     float_moment,
-    fourier_second_moment,
-    horizontal_partial_F,
     lemma_L3_ratio,
-    moment_table,
-    partial_F,
     power_product_series,
-    profile_correlation_series,
 )
-from .grandmoments import (
-    a_coeff,
-    a_coeff2,
-    abs_moment_ise,
-    c_lambda,
-    d_lambda,
-    density0_moment,
-    limit_moment_exc,
-    limit_moment_ise,
-)
+from .grandmoments import a_coeff, c_lambda, limit_moment_ise
 from .numerics import (
-    DEFAULT_QUADRATURE,
     MGF_A_RADIUS,
-    ContourPoint,
-    QuadratureConfig,
     ToleranceError,
     contour_point,
-    gamma_fn,
     mean_density_quadrature,
     mean_density_series,
     mgf_L,
-    solve_A,
 )
-from .partitions import (
-    canonical_partition,
-    falling_poly,
-    positive_partitions,
-    power_shift_poly,
-    stirling2,
-    weight,
-)
+from .partitions import positive_partitions
 from .sampler import (
-    EmpiricalMoment,
     SeedSpec,
     dyck_moment,
-    empirical_dyck_moment,
-    empirical_moment,
-    max_label,
     rescaled_density,
     sample_binary,
     sample_dyck_path,
     sample_plane,
     sample_tree,
-    tree_moment,
 )
-from .series import (
-    BivariateSeries,
-    FloatSeries,
-    LaurentPoly,
-    PowerSeries,
-    sqrt_one_minus,
-)
+from .series import BivariateSeries, LaurentPoly, PowerSeries
 from .trees import (
-    LabelledTree,
-    Profile,
     enumerate_trees,
-    horizontal_profile,
     oracle_moment,
     oracle_power_product_totals,
     shape_key,
     vertical_profile,
 )
-from .verify import QUICK, CriterionResult, run as run_verification
+from .verify import run as run_verification
 
 __version__ = "0.1.0"
 
@@ -104,73 +63,37 @@ __all__ = [
     "PLANE_0PM1",
     "PLANE_PM1",
     "TreeFamily",
-    "catalan",
     "get_family",
-    "increments",
-    "ExactMoment",
-    "MomentTable",
     "exact_moment",
     "f_series",
     "float_moment",
-    "fourier_second_moment",
-    "horizontal_partial_F",
     "lemma_L3_ratio",
-    "moment_table",
-    "partial_F",
     "power_product_series",
-    "profile_correlation_series",
     "a_coeff",
-    "a_coeff2",
-    "abs_moment_ise",
     "c_lambda",
-    "d_lambda",
-    "density0_moment",
-    "limit_moment_exc",
     "limit_moment_ise",
-    "DEFAULT_QUADRATURE",
     "MGF_A_RADIUS",
-    "ContourPoint",
-    "QuadratureConfig",
     "ToleranceError",
     "contour_point",
-    "gamma_fn",
     "mean_density_quadrature",
     "mean_density_series",
     "mgf_L",
-    "solve_A",
-    "canonical_partition",
-    "falling_poly",
     "positive_partitions",
-    "power_shift_poly",
-    "stirling2",
-    "weight",
-    "EmpiricalMoment",
     "SeedSpec",
     "dyck_moment",
-    "empirical_dyck_moment",
-    "empirical_moment",
-    "max_label",
     "rescaled_density",
     "sample_binary",
     "sample_dyck_path",
     "sample_plane",
     "sample_tree",
-    "tree_moment",
     "BivariateSeries",
-    "FloatSeries",
     "LaurentPoly",
     "PowerSeries",
-    "sqrt_one_minus",
-    "LabelledTree",
-    "Profile",
     "enumerate_trees",
-    "horizontal_profile",
     "oracle_moment",
     "oracle_power_product_totals",
     "shape_key",
     "vertical_profile",
-    "QUICK",
-    "CriterionResult",
     "run_verification",
     "__version__",
 ]

@@ -200,8 +200,8 @@ def _h_grand_moments(args) -> tuple[list[str], list[list], dict, int]:
 
 def _h_profile(args) -> tuple[list[str], list[list], dict, int]:
     fam = get_family(args.family)
-    if fam.name == "complete":
-        raise ValueError("no sampler is defined for the complete family")
+    if not fam.has_sampler:
+        raise ValueError(f"no sampler is defined for the {fam.name} family")
     n = args.n
     if n < 16:
         raise ValueError("profile needs n >= 16 for the rescaling to mean anything")
@@ -212,10 +212,7 @@ def _h_profile(args) -> tuple[list[str], list[list], dict, int]:
     base = SeedSpec(args.seed)
     vals = np.empty((args.samples, len(grid)))
     for i in range(args.samples):
-        if fam.name == "binary":
-            tree = sampler.sample_binary(n, base.stream(i))
-        else:
-            tree = sampler.sample_plane(n, fam, base.stream(i))
+        tree = sampler.sample_tree(fam, n, base.stream(i))
         prof = trees.vertical_profile(tree)
         vals[i] = [sampler.rescaled_density(prof, fam, x) for x in grid]
     means = vals.mean(axis=0)

@@ -1,9 +1,10 @@
-"""The four labelled tree families and their combinatorial constants.
+"""The four labelled tree families, with every per-family difference as data.
 
-Families are value objects carrying counting data plus the recursion
-template used by the generating-function engine.  Sizes are measured in
-the family's own unit: nodes for binary trees, nodes (odd only) for
-complete binary trees, edges for the two plane families.
+A family is a value object: its counting constants, size rule, shape
+class, edge increments and the recursion template of the series engine
+are fields, and the other modules read those fields instead of testing
+the family's name.  Sizes are measured in the family's own unit: edges
+for plane trees, nodes for binary and complete binary trees.
 """
 
 from __future__ import annotations
@@ -27,70 +28,89 @@ def catalan(n: int) -> int:
 Template = tuple[tuple[str, str], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TreeFamily:
     """One labelled tree family.
 
+    An object of series index i (the exponent of t that counts it) has
+    node_mult[0] * i + node_mult[1] nodes, and every object has at least
+    one node.  Plane trees (plane=True) are sized by edges and their
+    children carry sibling ranks; the others are sized by nodes and their
+    children carry a left (0) or right (1) role.  In a full tree every node
+    has zero or two children.  Each edge steps the label by one of
+    increments: independently per edge on plane trees, increments[role]
+    on the others.
+
     gamma4 is the fourth power of the profile rescaling constant gamma,
     kept exact; gamma itself is irrational for three of the families.
-    labellings_per_edge is 1 when labels are determined by shape.
+    template drives the family's own series engine; a family with
+    engine_family set has no template and sums over its internal nodes,
+    which form a tree of engine_family.  enum_cap is the largest size
+    enumerate_trees accepts by default (the largest enumeration stays in
+    the hundreds of thousands of shapes), and has_sampler says whether
+    sample_tree can draw the family.  Families compare by identity.
     """
 
     name: str
     tag: str
-    size_unit: str
-    growth_base: int
     gamma4: Fraction
-    labellings_per_edge: int
+    node_mult: tuple[int, int]
+    plane: bool
+    increments: tuple[int, ...]
     template: Template | None
+    enum_cap: int
+    full: bool = False
+    engine_family: TreeFamily | None = None
+    has_sampler: bool = True
 
     @property
     def gamma(self) -> float:
         return float(self.gamma4) ** 0.25
 
+    @property
+    def labellings_per_edge(self) -> int:
+        """Label choices per edge: 1 when the shape fixes the labels."""
+        return len(self.increments) if self.plane else 1
+
+    @property
+    def growth_base(self) -> int:
+        """b with the counting series singular at t = 1/b."""
+        return 4 * self.labellings_per_edge
+
+    def _nodes(self, size: int) -> int:
+        return size + 1 if self.plane else size
+
     def valid_size(self, size: int) -> bool:
-        if self.name == "binary":
-            return size >= 1
-        if self.name == "complete":
-            return size >= 1 and size % 2 == 1
-        return size >= 0
+        a, b = self.node_mult
+        nodes = self._nodes(size)
+        return nodes >= 1 and (nodes - b) % a == 0
 
     def series_index(self, size: int) -> int:
         """Exponent of t carrying this size in the family's series."""
         if not self.valid_size(size):
             raise ValueError(f"invalid {self.name} size {size}")
-        if self.name == "complete":
-            return (size - 1) // 2
-        return size
-
-    def size_of_index(self, idx: int) -> int:
-        if idx < 0:
-            raise ValueError("series index must be non-negative")
-        if self.name == "complete":
-            return 2 * idx + 1
-        return idx
+        a, b = self.node_mult
+        return (self._nodes(size) - b) // a
 
     def count(self, size: int) -> int:
-        """Number of labelled objects of the given size."""
-        if not self.valid_size(size):
-            if self.name == "complete" and size >= 0 and size % 2 == 0:
-                return 0
-            raise ValueError(f"invalid {self.name} size {size}")
+        """Number of labelled objects of the given size.
+
+        A non-negative size that the node rule skips (an even number of
+        nodes for complete binary trees) has no objects.
+        """
+        a, b = self.node_mult
+        if size >= 0 and (self._nodes(size) - b) % a:
+            return 0
         idx = self.series_index(size)
-        return catalan(idx) * self.labellings_per_edge ** (idx if self.size_unit == "edges" else 0)
+        return catalan(idx) * self.labellings_per_edge**idx
 
     def node_count(self, size: int) -> int:
         """Number of nodes of an object of the given size."""
-        if not self.valid_size(size):
-            raise ValueError(f"invalid {self.name} size {size}")
-        if self.size_unit == "edges":
-            return size + 1
-        return size
+        a, b = self.node_mult
+        return a * self.series_index(size) + b
 
     def sizes_upto(self, max_size: int) -> list[int]:
-        lo = 1 if self.name in ("binary", "complete") else 0
-        step = 2 if self.name == "complete" else 1
-        return list(range(lo, max_size + 1, step))
+        return [n for n in range(max_size + 1) if self.valid_size(n)]
 
     def __repr__(self):
         return f"TreeFamily({self.name})"
@@ -99,41 +119,48 @@ class TreeFamily:
 BINARY = TreeFamily(
     name="binary",
     tag="Binary",
-    size_unit="nodes",
-    growth_base=4,
     gamma4=Fraction(1, 2),
-    labellings_per_edge=1,
+    node_mult=(1, 0),
+    plane=False,
+    increments=(-1, 1),
     template=(("down", "up"),),
+    enum_cap=12,
 )
 
 COMPLETE_BINARY = TreeFamily(
     name="complete",
     tag="CompleteBinary",
-    size_unit="nodes",
-    growth_base=4,
     gamma4=Fraction(1),
-    labellings_per_edge=1,
+    node_mult=(2, 1),
+    plane=False,
+    increments=(-1, 1),
     template=None,
+    enum_cap=25,
+    full=True,
+    engine_family=BINARY,
+    has_sampler=False,
 )
 
 PLANE_PM1 = TreeFamily(
     name="plane_pm1",
     tag="PlanePM1",
-    size_unit="edges",
-    growth_base=8,
     gamma4=Fraction(2),
-    labellings_per_edge=2,
+    node_mult=(1, 1),
+    plane=True,
+    increments=(-1, 1),
     template=(("down", "plain"), ("up", "plain")),
+    enum_cap=10,
 )
 
 PLANE_0PM1 = TreeFamily(
     name="plane_0pm1",
     tag="Plane0PM1",
-    size_unit="edges",
-    growth_base=12,
     gamma4=Fraction(9, 2),
-    labellings_per_edge=3,
+    node_mult=(1, 1),
+    plane=True,
+    increments=(-1, 0, 1),
     template=(("plain", "plain"), ("down", "plain"), ("up", "plain")),
+    enum_cap=8,
 )
 
 FAMILIES: dict[str, TreeFamily] = {
@@ -149,10 +176,3 @@ def get_family(name: str) -> TreeFamily:
         if fam.tag == name:
             return fam
     raise KeyError(f"unknown tree family {name!r}; choices: {sorted(FAMILIES)}")
-
-
-def increments(family: TreeFamily) -> tuple[int, ...]:
-    """Edge label increments available to the family."""
-    if family.name == "plane_0pm1":
-        return (-1, 0, 1)
-    return (-1, 1)

@@ -10,9 +10,10 @@ are excluded, and the result is divided by sqrt(1 - base*t).  The parts
 are split between the two subtrees once per sub-multiset, with the number
 of index splits it stands for as its weight.
 
-Complete binary trees reduce to the binary engine through the label
-multiset identity: the labels of a complete tree are {0} plus, for every
-internal node with label l, the pair {l-1, l+1}.
+A family with an engine_family (complete binary trees, on the binary
+engine) reduces to it through the label multiset identity: the labels of
+a complete tree are {0} plus, for every internal node with label l, the
+pair {l-1, l+1}.  Every per-family constant comes from the TreeFamily.
 
 Everything runs twice: exactly, and in float64 over the scaled variable
 tau = base*t (whose coefficients stay O(1) at any order).  The exact run
@@ -30,7 +31,15 @@ from fractions import Fraction
 from math import factorial
 from typing import NamedTuple, Sequence, Union
 
-from .families import BINARY, TreeFamily, catalan
+from .families import (
+    BINARY,
+    COMPLETE_BINARY,
+    PLANE_0PM1,
+    PLANE_PM1,
+    Template,
+    TreeFamily,
+    catalan,
+)
 from .partitions import (
     canonical_partition,
     falling_poly,
@@ -81,7 +90,7 @@ def f_series(family: TreeFamily, order: int) -> PowerSeries:
     """Exact base series: t^idx carries the labelled-object count at idx."""
     if order < 0:
         raise ValueError("truncation order must be non-negative")
-    lab = family.labellings_per_edge if family.size_unit == "edges" else 1
+    lab = family.labellings_per_edge
     return PowerSeries(
         [catalan(k) * lab**k for k in range(order + 1)], order=order
     )
@@ -165,10 +174,9 @@ class _Engine:
         self.mult = mult
         self.pf_memo: dict[tuple[int, ...], Series] = {(): ops.f0}
         self.pps_memo: dict[tuple[int, ...], Series] = {(): ops.f0}
-        # Reduction memos used only when this is a binary engine backing
-        # the complete-binary family.
-        self.complete_pf: dict[tuple[int, ...], Series] = {(): ops.f0}
-        self.complete_pps: dict[tuple[int, ...], Series] = {(): ops.f0}
+        # Sums of the families that ride on this engine (_rider_series),
+        # keyed by (family, power_basis, partition).
+        self.rider_memo: dict[tuple, Series] = {}
 
     def node_mult(self, s: Series) -> Series:
         return _apply_node_mult(s, *self.mult)
@@ -243,101 +251,84 @@ class _Engine:
         return val
 
 
-def _family_mult(family: TreeFamily) -> tuple[int, int]:
-    if family.name == "complete":
-        return (2, 1)
-    if family.size_unit == "edges":
-        return (1, 1)
-    return (1, 0)
-
-
-# Engines are grow-only per (variant, kind): a request above the current
-# order rebuilds from scratch at the larger order (no cross-order reuse),
-# so callers looping over sizes first call build_exact_engine.
-_ENGINES: dict[tuple[str, str], _Engine] = {}
+# Engines are grow-only per (family, template, kind): a request above the
+# current order rebuilds from scratch at the larger order (no cross-order
+# reuse), so callers looping over sizes first call build_exact_engine.
+_ENGINES: dict[tuple, _Engine] = {}
 
 _HORIZONTAL_TEMPLATE = (("up", "up"),)
 
 
-def _engine(variant: str, kind: str, order: int) -> _Engine:
+def _engine(
+    family: TreeFamily, kind: str, order: int, template: Template | None = None
+) -> _Engine:
+    """The engine of a family's template, or of another template (the
+    horizontal one) over the same base series and node rule."""
     if kind == "exact" and order > MAX_EXACT_ORDER:
         raise ValueError(
             f"exact truncation order {order} exceeds MAX_EXACT_ORDER={MAX_EXACT_ORDER}"
         )
-    key = (variant, kind)
+    template = template or family.template
+    key = (family, template, kind)
     eng = _ENGINES.get(key)
     if eng is not None and eng.ops.order >= order:
         return eng
-    if variant == "horizontal":
-        family, template, mult = BINARY, _HORIZONTAL_TEMPLATE, (1, 0)
-    else:
-        from .families import get_family
-
-        family = get_family(variant)
-        template, mult = family.template, _family_mult(family)
     ops = _ExactOps(family, order) if kind == "exact" else _FloatOps(family, order)
-    eng = _Engine(ops, template, mult)
+    eng = _Engine(ops, template, family.node_mult)
     _ENGINES[key] = eng
     return eng
 
 
-def _engine_for(family: TreeFamily, kind: str, order: int) -> _Engine:
-    """Engine backing a family: complete-binary rides on the binary engine."""
-    variant = "binary" if family.name == "complete" else family.name
-    return _engine(variant, kind, order)
+def _family_series(
+    family: TreeFamily, kind: str, order: int, lam: tuple[int, ...], power_basis: bool
+) -> tuple[_Engine, Series]:
+    """Power-sum (power_basis) or factorial-sum product series of a family,
+    with the engine it came from: its own, or the one it rides on."""
+    if family.engine_family is None:
+        eng = _engine(family, kind, order)
+        return eng, eng.pps(lam) if power_basis else eng.pf(lam)
+    eng = _engine(family.engine_family, kind, order)
+    return eng, _rider_series(eng, family, lam, power_basis)
 
 
-def _u_poly_pair(k: int, power_basis: bool) -> tuple[int, ...]:
-    """Power-basis coefficients of f(l-1) + f(l+1) for f = x^k or fall(x, k)."""
-    if power_basis:
-        lo = power_shift_poly(k, -1)
-        hi = power_shift_poly(k, 1)
-    else:
-        lo = falling_poly(k, -1)
-        hi = falling_poly(k, 1)
-    return tuple(a + b for a, b in zip(lo, hi))
+def _shift_sum_poly(k: int, power_basis: bool, incs: tuple[int, ...]) -> tuple[int, ...]:
+    """Power-basis coefficients of sum_inc f(l + inc) for f = x^k or fall(x, k)."""
+    poly = power_shift_poly if power_basis else falling_poly
+    return tuple(map(sum, zip(*(poly(k, inc) for inc in incs))))
 
 
-def _complete_expand(eng: _Engine, lam: tuple[int, ...], power_basis: bool) -> Series:
-    """Sum over per-part basis expansions of binary power-sum series.
+def _rider_series(
+    eng: _Engine, family: TreeFamily, lam: tuple[int, ...], power_basis: bool
+) -> Series:
+    """Sums over a family that rides on eng's family.
 
-    Each part k of a complete-tree sum contributes f(l-1)+f(l+1) summed
-    over internal-node labels l; expanding in the power basis turns the
-    product into a combination of binary power-sum product series.
+    Its labels are {0} plus, for every internal node with label l, the
+    children's labels l + inc over the family's increments.  So each part k
+    contributes f(l + inc) summed over internal-node labels l; expanding in
+    the power basis turns the product into a combination of the engine's
+    power-sum product series.
     """
-    polys = [_u_poly_pair(k, power_basis) for k in lam]
-    val = eng.ops.zero()
-    for qs in itertools.product(*(range(len(p)) for p in polys)):
-        c = 1
-        for poly, q in zip(polys, qs):
-            c *= poly[q]
-        if not c:
-            continue
-        val = val + eng.pps(tuple(sorted(qs))) * c
-    return val
-
-
-def _complete_pf(eng: _Engine, lam: tuple[int, ...]) -> Series:
-    hit = eng.complete_pf.get(lam)
+    key = (family, power_basis, lam)
+    hit = eng.rider_memo.get(key)
     if hit is not None:
         return hit
-    if lam[0] == 0:
-        val = _apply_node_mult(_complete_pf(eng, lam[1:]), 2, 1)
+    if not lam:
+        val = eng.ops.f0
+    elif lam[0] == 0:
+        val = _apply_node_mult(
+            _rider_series(eng, family, lam[1:], power_basis), *family.node_mult
+        )
     else:
-        val = _complete_expand(eng, lam, power_basis=False)
-    eng.complete_pf[lam] = val
-    return val
-
-
-def _complete_pps(eng: _Engine, lam: tuple[int, ...]) -> Series:
-    hit = eng.complete_pps.get(lam)
-    if hit is not None:
-        return hit
-    if lam[0] == 0:
-        val = _apply_node_mult(_complete_pps(eng, lam[1:]), 2, 1)
-    else:
-        val = _complete_expand(eng, lam, power_basis=True)
-    eng.complete_pps[lam] = val
+        polys = [_shift_sum_poly(k, power_basis, family.increments) for k in lam]
+        val = eng.ops.zero()
+        for qs in itertools.product(*(range(len(p)) for p in polys)):
+            c = 1
+            for poly, q in zip(polys, qs):
+                c *= poly[q]
+            if not c:
+                continue
+            val = val + eng.pps(tuple(sorted(qs))) * c
+    eng.rider_memo[key] = val
     return val
 
 
@@ -353,8 +344,7 @@ def partial_F(
     lam_t = canonical_partition(lam)
     if order < 0:
         raise ValueError("truncation order must be non-negative")
-    eng = _engine_for(family, "exact", order)
-    s = _complete_pf(eng, lam_t) if family.name == "complete" else eng.pf(lam_t)
+    _, s = _family_series(family, "exact", order, lam_t, power_basis=False)
     return s.truncate(order) if s.order > order else s
 
 
@@ -363,7 +353,7 @@ def horizontal_partial_F(lam: Sequence[int], order: int) -> PowerSeries:
     lam_t = canonical_partition(lam)
     if order < 0:
         raise ValueError("truncation order must be non-negative")
-    eng = _engine("horizontal", "exact", order)
+    eng = _engine(BINARY, "exact", order, _HORIZONTAL_TEMPLATE)
     s = eng.pf(lam_t)
     return s.truncate(order) if s.order > order else s
 
@@ -375,8 +365,7 @@ def power_product_series(
     lam_t = canonical_partition(lam)
     if order < 0:
         raise ValueError("truncation order must be non-negative")
-    eng = _engine_for(family, "exact", order)
-    s = _complete_pps(eng, lam_t) if family.name == "complete" else eng.pps(lam_t)
+    _, s = _family_series(family, "exact", order, lam_t, power_basis=True)
     return s.truncate(order) if s.order > order else s
 
 
@@ -404,8 +393,7 @@ def float_moment(family: TreeFamily, lam: Sequence[int], n: int) -> float:
     """float64 twin of exact_moment's normalized value, any order."""
     lam_t = canonical_partition(lam)
     idx = family.series_index(n)
-    eng = _engine_for(family, "float", idx)
-    s = _complete_pps(eng, lam_t) if family.name == "complete" else eng.pps(lam_t)
+    eng, s = _family_series(family, "float", idx, lam_t, power_basis=True)
     expectation = s.coeff(idx) / eng.ops.f0.coeff(idx)
     return _normalizer(family, lam_t, n) * expectation
 
@@ -419,7 +407,7 @@ def build_exact_engine(family: TreeFamily, sizes: Sequence[int]) -> None:
     """
     top = max((family.series_index(n) for n in sizes), default=0)
     if top <= MAX_EXACT_ORDER:
-        _engine_for(family, "exact", top)
+        _engine(family.engine_family or family, "exact", top)
 
 
 def moment_table(
@@ -442,62 +430,75 @@ def _catalan_series(order: int, scale: int = 1) -> PowerSeries:
     )
 
 
-def _build_profile(family: TreeFamily, order: int) -> BivariateSeries:
+def _profile_binary(order: int) -> BivariateSeries:
     one = PowerSeries.one(order)
     s = _S_POLY
-    if family.name == "binary":
-        b = _catalan_series(order)
-        f0 = one + b
-        num = b * f0 * (one + 2 * b - b * b) / (one - b)
-        den1 = BivariateSeries.from_power_series(f0) - (
-            BivariateSeries.from_power_series(b) * s
-        )
-        return BivariateSeries.from_power_series(num) / (den1 * den1)
-    if family.name == "plane_pm1":
-        t_ser = _catalan_series(order, 2)
-        ft = one + t_ser
-        num = BivariateSeries.from_power_series(ft) + (
-            BivariateSeries.from_power_series(ft * t_ser * t_ser)
-            * (s * s * Fraction(1, 4))
-        )
-        half = BivariateSeries.from_power_series(one) - (
-            BivariateSeries.from_power_series(t_ser) * (s * Fraction(1, 2))
-        )
-        den = BivariateSeries.from_power_series(one - t_ser) * half * half
-        return num / den
-    if family.name == "plane_0pm1":
-        t_ser = _catalan_series(order, 3)
-        ft = one + t_ser
-        one_plus_s = LaurentPoly([1, 1, 1], lo=-1)
-        num = BivariateSeries.from_power_series(ft * 9) + (
-            BivariateSeries.from_power_series(ft * t_ser * t_ser)
-            * (one_plus_s * one_plus_s)
-        )
-        lin = BivariateSeries.from_laurent(LaurentPoly.const(3), order) - (
-            BivariateSeries.from_power_series(t_ser) * one_plus_s
-        )
-        den = BivariateSeries.from_power_series(one - t_ser) * lin * lin
-        return num / den
-    if family.name == "complete":
-        # Complete-tree transform is 1 + 2cos(u) * (binary transform), so
-        # the pair series assembles from the binary one-point and two-point
-        # series with s = 2cos(u).
-        pb = profile_correlation_series(BINARY, order)
-        b = _catalan_series(order)
-        f0 = one + b
-        den_f1 = BivariateSeries.from_power_series(f0) - (
-            BivariateSeries.from_power_series(b) * s
-        )
-        f1 = BivariateSeries.from_power_series(b * f0) / den_f1
-        return (
-            BivariateSeries.from_power_series(f0)
-            + f1 * (s * 2)
-            + pb * (s * s)
-        )
-    raise ValueError(f"no profile-correlation series for {family.name}")
+    b = _catalan_series(order)
+    f0 = one + b
+    num = b * f0 * (one + 2 * b - b * b) / (one - b)
+    den1 = BivariateSeries.from_power_series(f0) - (
+        BivariateSeries.from_power_series(b) * s
+    )
+    return BivariateSeries.from_power_series(num) / (den1 * den1)
 
 
-_PROFILE_CACHE: dict[str, BivariateSeries] = {}
+def _profile_plane_pm1(order: int) -> BivariateSeries:
+    one = PowerSeries.one(order)
+    s = _S_POLY
+    t_ser = _catalan_series(order, 2)
+    ft = one + t_ser
+    num = BivariateSeries.from_power_series(ft) + (
+        BivariateSeries.from_power_series(ft * t_ser * t_ser)
+        * (s * s * Fraction(1, 4))
+    )
+    half = BivariateSeries.from_power_series(one) - (
+        BivariateSeries.from_power_series(t_ser) * (s * Fraction(1, 2))
+    )
+    den = BivariateSeries.from_power_series(one - t_ser) * half * half
+    return num / den
+
+
+def _profile_plane_0pm1(order: int) -> BivariateSeries:
+    one = PowerSeries.one(order)
+    t_ser = _catalan_series(order, 3)
+    ft = one + t_ser
+    one_plus_s = LaurentPoly([1, 1, 1], lo=-1)
+    num = BivariateSeries.from_power_series(ft * 9) + (
+        BivariateSeries.from_power_series(ft * t_ser * t_ser)
+        * (one_plus_s * one_plus_s)
+    )
+    lin = BivariateSeries.from_laurent(LaurentPoly.const(3), order) - (
+        BivariateSeries.from_power_series(t_ser) * one_plus_s
+    )
+    den = BivariateSeries.from_power_series(one - t_ser) * lin * lin
+    return num / den
+
+
+def _profile_complete(order: int) -> BivariateSeries:
+    # Complete-tree transform is 1 + 2cos(u) * (binary transform), so the
+    # pair series assembles from the binary one-point and two-point series
+    # with s = 2cos(u).
+    one = PowerSeries.one(order)
+    s = _S_POLY
+    pb = profile_correlation_series(BINARY, order)
+    b = _catalan_series(order)
+    f0 = one + b
+    den_f1 = BivariateSeries.from_power_series(f0) - (
+        BivariateSeries.from_power_series(b) * s
+    )
+    f1 = BivariateSeries.from_power_series(b * f0) / den_f1
+    return BivariateSeries.from_power_series(f0) + f1 * (s * 2) + pb * (s * s)
+
+
+# Closed forms of the pair-correlation series, by family.
+_PROFILE_BUILDERS = {
+    BINARY: _profile_binary,
+    COMPLETE_BINARY: _profile_complete,
+    PLANE_PM1: _profile_plane_pm1,
+    PLANE_0PM1: _profile_plane_0pm1,
+}
+
+_PROFILE_CACHE: dict[TreeFamily, BivariateSeries] = {}
 
 
 def profile_correlation_series(family: TreeFamily, order: int) -> BivariateSeries:
@@ -513,10 +514,13 @@ def profile_correlation_series(family: TreeFamily, order: int) -> BivariateSerie
             f"exact truncation order {order} exceeds "
             f"PROFILE_MAX_EXACT_ORDER={PROFILE_MAX_EXACT_ORDER}"
         )
-    cached = _PROFILE_CACHE.get(family.name)
+    cached = _PROFILE_CACHE.get(family)
     if cached is None or cached.order < order:
-        cached = _build_profile(family, order)
-        _PROFILE_CACHE[family.name] = cached
+        build = _PROFILE_BUILDERS.get(family)
+        if build is None:
+            raise ValueError(f"no profile-correlation series for {family.name}")
+        cached = build(order)
+        _PROFILE_CACHE[family] = cached
     if cached.order == order:
         return cached
     return BivariateSeries(cached.coeffs[: order + 1], order=order)

@@ -132,20 +132,27 @@ MGF_A_RADIUS = 4.0 / math.sqrt(3.0)
 
 _NEWTON_ITERS = 50
 _NEWTON_TOL = 1e-15
+_ROUNDING_STEP = 1e-12
 _BRANCH_JUMP = 0.25
 _RESIDUAL_TOL = 1e-12
 
 
-def _newton(y, start, peak):
+def _newton(y, start, peak, settle):
     """Newton on the branch equation, elementwise; None if any element fails.
 
     y and start are both complex scalars or both complex arrays, and peak
     takes the largest element of a real or boolean result of the same kind
     (float for scalars, ndarray.max for arrays).  An element stops moving once
-    its own step falls below _NEWTON_TOL.
+    its own step falls below _NEWTON_TOL.  Near the branch point rounding
+    alone can keep a step above _NEWTON_TOL, and Newton then cycles instead
+    of converging.  With settle set, an element still moving after the last
+    iteration is accepted once its step has stopped shrinking at rounding
+    level: below _ROUNDING_STEP and no smaller than two iterations before.
+    Converging elements never reach that test.
     """
     a = start
     live = True
+    sizes = []
     for _ in range(_NEWTON_ITERS):
         one_plus = 1.0 + a
         y_sq = y * one_plus * one_plus
@@ -159,7 +166,11 @@ def _newton(y, start, peak):
         if peak(size) < _NEWTON_TOL:
             return a
         live = size >= _NEWTON_TOL
-    return None
+        sizes.append(size)
+    if not settle:
+        return None
+    moving = live & ((size >= _ROUNDING_STEP) | (size < sizes[-3]))
+    return None if peak(moving) else a
 
 
 def solve_A(y):
@@ -171,9 +182,11 @@ def solve_A(y):
     with Newton correction at each waypoint; the step halves whenever
     Newton stalls on any element or any root moves further than the
     branch-jump guard allows.  Within about 1e-3 of the branch point
-    y = 4/sqrt(3), Newton's rounding-level steps can cycle above its
-    tolerance, so a large batch there is refused more often than a
-    single point.
+    y = 4/sqrt(3), rounding can make Newton cycle on some element at every
+    step size.  So once the step has halved more than 60 times, tracking
+    goes on from the last waypoint with the step reset and Newton settling
+    on such cycles.  Settling only then leaves every input that tracks
+    without it on the same result; the residual check bounds every result.
     """
     if isinstance(y, np.ndarray):
         y, a, peak = y.astype(complex), np.zeros(y.shape, complex), np.ndarray.max
@@ -182,16 +195,19 @@ def solve_A(y):
     s = 0.0
     step = 0.25
     halvings = 0
+    settle = False
     while s < 1.0:
         target = min(1.0, s + step)
-        trial = _newton(target * y, a, peak)
+        trial = _newton(target * y, a, peak, settle)
         if trial is None or peak(abs(trial - a)) > _BRANCH_JUMP:
             step /= 2.0
             halvings += 1
             if halvings > 60:
-                raise ToleranceError(
-                    f"branch tracking failed for |y| up to {peak(abs(y)):.6g}"
-                )
+                if settle:
+                    raise ToleranceError(
+                        f"branch tracking failed for |y| up to {peak(abs(y)):.6g}"
+                    )
+                settle, step, halvings = True, 0.25, 0
             continue
         a = trial
         s = target

@@ -10,7 +10,6 @@ power and falling factorial bases.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
 from typing import Iterable, Iterator, Sequence
@@ -159,10 +158,3 @@ def stirling_expansions(lam: Sequence[int]) -> Iterator[tuple[int, tuple[int, ..
                 js.pop()
 
     yield from rec(0, 1, [])
-
-
-def fraction_sum(values: Iterable[Fraction]) -> Fraction:
-    total = Fraction(0)
-    for v in values:
-        total += v
-    return total

@@ -150,7 +150,7 @@ def sample_plane(n: int, family: TreeFamily, seed: SeedLike) -> LabelledTree:
     in preorder.  Increments are drawn after the shuffle, one per edge in
     preorder.
     """
-    if family.name not in ("plane_pm1", "plane_0pm1"):
+    if not family.plane:
         raise ValueError("sample_plane needs one of the two plane families")
     if n < 0:
         raise ValueError("edge count must be non-negative")
@@ -172,10 +172,8 @@ def sample_plane(n: int, family: TreeFamily, seed: SeedLike) -> LabelledTree:
     role = np.zeros(n + 1, dtype=np.int64)
     role[ids[1:]] = np.arange(n) - up.searchsorted(up)
 
-    if family.name == "plane_pm1":
-        incs = 2 * rng.integers(0, 2, size=n) - 1
-    else:
-        incs = rng.integers(0, 3, size=n) - 1
+    choices = np.array(family.increments)
+    incs = choices[rng.integers(0, len(choices), size=n)]
     hop = parent.copy()
     hop[0] = 0
     acc = np.zeros(n + 1, dtype=np.int64)
@@ -186,16 +184,11 @@ def sample_plane(n: int, family: TreeFamily, seed: SeedLike) -> LabelledTree:
 
 def sample_tree(family: TreeFamily, n: int, seed: SeedLike) -> LabelledTree:
     """Family dispatch: binary by node count, plane families by edge count."""
-    if family.name == "binary":
-        return sample_binary(n, seed)
-    if family.name in ("plane_pm1", "plane_0pm1"):
+    if not family.has_sampler:
+        raise ValueError(f"no sampler for family {family.name}")
+    if family.plane:
         return sample_plane(n, family, seed)
-    raise ValueError(f"no sampler for family {family.name}")
-
-
-def max_label(tree: LabelledTree) -> int:
-    """Largest absolute vertical label (0 for the one-node tree)."""
-    return int(np.abs(tree.label).max())
+    return sample_binary(n, seed)
 
 
 def rescaled_density(profile: Profile, family: TreeFamily, x: float) -> float:

@@ -387,12 +387,6 @@ class LaurentPoly:
         nz = [(c, self.lo + i) for i, c in enumerate(self.coeffs) if c]
         return nz[0] if len(nz) == 1 else None
 
-    def at_one(self) -> Number:
-        return sum(self.coeffs, start=0)
-
-    def is_palindromic(self) -> bool:
-        return self.coeffs == tuple(reversed(self.coeffs)) and self.lo == -self.hi
-
     def eval_unit_circle(self, u: float) -> complex:
         """Sum of coeff_j * exp(i j u) in double precision."""
         total = 0j
@@ -543,8 +537,3 @@ def sqrt_one_minus(c: Number, order: int) -> PowerSeries:
         term = term * c * (2 * k - 3) / (2 * k)
         coeffs.append(term.numerator if term.denominator == 1 else term)
     return PowerSeries(coeffs, order=order)
-
-
-def sqrt_one_minus_4t(order: int) -> PowerSeries:
-    """Exact series s with s(0)=1 and s^2 = 1 - 4t modulo t^(order+1)."""
-    return sqrt_one_minus(4, order)

@@ -16,11 +16,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .families import TreeFamily, increments
-
-# Default enumeration caps (configurable per call); chosen so the largest
-# family enumeration stays in the hundreds of thousands of objects.
-DEFAULT_CAPS = {"binary": 12, "complete": 25, "plane_pm1": 10, "plane_0pm1": 8}
+from .families import TreeFamily
 
 
 @dataclass(frozen=True)
@@ -45,15 +41,14 @@ class LabelledTree:
     @property
     def size(self) -> int:
         """Size in the family's own unit (nodes, or edges for plane trees)."""
-        if self.family.size_unit == "edges":
-            return self.n_nodes - 1
-        return self.n_nodes
+        return self.n_nodes - 1 if self.family.plane else self.n_nodes
 
     def validate(self) -> None:
         """Check structural and labelling invariants; raises on violation.
 
         Binary and complete children must carry role 0 (left) or 1
-        (right), at most one of each per parent; plane children must carry
+        (right), at most one of each per parent, and in a complete tree
+        every node has zero or two children; plane children must carry
         their sibling ranks 0..k-1 in id order.
         """
         roots = np.flatnonzero(self.parent < 0)
@@ -68,11 +63,13 @@ class LabelledTree:
             raise ValueError("depth must increase by 1 along edges")
         role = self.child_role[kids]
         step = self.label[kids] - self.label[par]
-        if self.family.name in ("binary", "complete"):
+        if not self.family.plane:
             if np.any((role != 0) & (role != 1)):
                 raise ValueError("binary child roles must be 0 (left) or 1 (right)")
             if len(np.unique(2 * par + role)) != len(kids):
                 raise ValueError("binary siblings must have distinct roles")
+            if self.family.full and np.any(np.bincount(par) == 1):
+                raise ValueError("complete tree nodes must have zero or two children")
             if np.any(step != 2 * role - 1):
                 raise ValueError("binary labels must follow the left/right rule")
             return
@@ -81,7 +78,7 @@ class LabelledTree:
         rank = np.arange(len(kids)) - by_parent.searchsorted(by_parent)
         if np.any(role[order] != rank):
             raise ValueError("plane sibling ranks must run 0..k-1 in id order")
-        incs = increments(self.family)
+        incs = self.family.increments
         bad = ~np.isin(step, incs)
         if bad.any():
             raise ValueError(f"label increment {int(step[bad][0])} outside {sorted(incs)}")
@@ -158,11 +155,14 @@ def _plane_shapes(n: int) -> tuple:
     return tuple(out)
 
 
-def _binary_tree_arrays(shape) -> tuple[np.ndarray, ...]:
+def _binary_tree_arrays(shape, full: bool) -> tuple[np.ndarray, ...]:
+    """Preorder arrays of a binary shape; a full tree also gets a leaf in
+    every empty child slot.  Left children step the label by -1, right
+    children by +1."""
     parent, role, label, depth = [], [], [], []
 
     def walk(node, par: int, rl: int) -> None:
-        if node is None:
+        if node is None and not full:
             return
         v = len(parent)
         parent.append(par)
@@ -173,37 +173,9 @@ def _binary_tree_arrays(shape) -> tuple[np.ndarray, ...]:
         else:
             label.append(label[par] + (1 if rl == 1 else -1))
             depth.append(depth[par] + 1)
-        walk(node[0], v, 0)
-        walk(node[1], v, 1)
-
-    walk(shape, -1, 0)
-    return tuple(np.array(a, dtype=np.int64) for a in (parent, role, label, depth))
-
-
-def _complete_tree_arrays(shape) -> tuple[np.ndarray, ...]:
-    # Every shape node becomes an internal node with both child slots
-    # filled, absent children becoming leaves; labels follow the same
-    # left -1 / right +1 rule.
-    parent, role, label, depth = [], [], [], []
-
-    def add(par: int, rl: int) -> int:
-        v = len(parent)
-        parent.append(par)
-        role.append(rl)
-        if par < 0:
-            label.append(0)
-            depth.append(0)
-        else:
-            label.append(label[par] + (1 if rl == 1 else -1))
-            depth.append(depth[par] + 1)
-        return v
-
-    def walk(node, par: int, rl: int) -> None:
-        v = add(par, rl)
-        if node is None:
-            return
-        walk(node[0], v, 0)
-        walk(node[1], v, 1)
+        if node is not None:
+            walk(node[0], v, 0)
+            walk(node[1], v, 1)
 
     walk(shape, -1, 0)
     return tuple(np.array(a, dtype=np.int64) for a in (parent, role, label, depth))
@@ -237,27 +209,22 @@ def enumerate_trees(
 
     Binary and complete trees carry their deterministic labelling; plane
     trees are yielded once per edge-increment assignment.  Sizes above the
-    per-family cap (overridable via max_size) raise ValueError.
+    family's enum_cap (overridable via max_size) raise ValueError.
     """
-    cap = max_size if max_size is not None else DEFAULT_CAPS[family.name]
+    cap = max_size if max_size is not None else family.enum_cap
     if n > cap:
         raise ValueError(f"size {n} above enumeration cap {cap} for {family.name}")
     if not family.valid_size(n):
         raise ValueError(f"invalid {family.name} size {n}")
 
-    if family.name == "binary":
-        for shape in _binary_shapes(n):
-            parent, role, label, depth = _binary_tree_arrays(shape)
+    if not family.plane:
+        # A shape of series index i has i nodes; full trees add the leaves.
+        for shape in _binary_shapes(family.series_index(n)):
+            parent, role, label, depth = _binary_tree_arrays(shape, family.full)
             yield LabelledTree(family, parent, role, label, depth)
         return
 
-    if family.name == "complete":
-        for shape in _binary_shapes((n - 1) // 2):
-            parent, role, label, depth = _complete_tree_arrays(shape)
-            yield LabelledTree(family, parent, role, label, depth)
-        return
-
-    incs = increments(family)
+    incs = family.increments
     for shape in _plane_shapes(n):
         parent, role = _plane_parent_arrays(shape)
         depth = _depths_from_parents(parent)
@@ -280,7 +247,7 @@ def shape_key(tree: LabelledTree) -> tuple:
         else:
             children[p].append((int(tree.child_role[v]), v))
     out: list[int] = []
-    if tree.family.name in ("binary", "complete"):
+    if not tree.family.plane:
         # Emit per node a 2-bit presence mask for (left, right).
         stack = [root]
         while stack:
@@ -365,7 +332,7 @@ def oracle_power_product_totals(
     totals = {lam: 0 for lam in partitions}
     count = 0
 
-    if family.name in ("binary", "complete"):
+    if not family.plane:
         for tree in enumerate_trees(family, n):
             count += 1
             ps = _power_sums_int(tree.label, max_power)
@@ -381,7 +348,7 @@ def oracle_power_product_totals(
             f"power {max_power} at size {n} exceeds the exact float64 range of the "
             "plane oracle"
         )
-    assign_t = _assignment_matrix(increments(family), n).T.astype(np.float64)
+    assign_t = _assignment_matrix(family.increments, n).T.astype(np.float64)
     n_assign = assign_t.shape[1]
     anc = _plane_root_paths(n)
     n_shapes = anc.shape[1]

@@ -1,5 +1,6 @@
 """Generating-series engine: hand anchors, oracle cross-checks, float twins."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -89,6 +90,24 @@ class TestOracleAgreement:
             assert count == family.count(n)
             for lam in lams:
                 assert power_product_series(family, lam, idx).coeff(idx) == totals[lam]
+
+    @pytest.mark.parametrize(
+        "lam",
+        [(0,), (1,), (2,), (3,), (0, 1), (1, 1), (1, 2), (0, 0, 2)],
+        ids=str,
+    )
+    def test_horizontal_partial_F_matches_depth_enumeration(self, lam):
+        order = 9
+        series = horizontal_partial_F(lam, order)
+        for n in range(1, order + 1):
+            total = 0
+            for tree in enumerate_trees(BINARY, n):
+                depths = [int(d) for d in tree.depth]
+                term = 1
+                for k in lam:
+                    term *= sum(math.perm(d, k) for d in depths)
+                total += term
+            assert series.coeff(n) == total
 
     @pytest.mark.parametrize("family,sizes", CASES)
     def test_pair_correlation_polynomial(self, family, sizes):
@@ -199,8 +218,8 @@ class TestFourier:
             at_three,
             at_minus_seven,
         )
-        n = family.size_of_index(30)
-        assert top.at_one() == family.count(n) * family.node_count(n) ** 2
+        n = next(n for n in range(62) if family.valid_size(n) and family.series_index(n) == 30)
+        assert sum(top.coeffs) == family.count(n) * family.node_count(n) ** 2
 
     def test_max_order_guard(self):
         with pytest.raises(ValueError, match="MAX_EXACT_ORDER"):

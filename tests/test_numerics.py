@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from iselab import numerics
 from iselab.grandmoments import density0_moment
 from iselab.numerics import (
     DEFAULT_QUADRATURE,
@@ -104,6 +105,22 @@ class TestBranchTracking:
         got = solve_A(ys)
         for y, a in zip(ys, got):
             assert abs(a - solve_A(y)) <= 1e-15
+
+    def test_array_settles_rounding_cycles_near_branch_point(self):
+        # At 0.9995 of the radius rounding makes Newton cycle above its
+        # tolerance on some element at every step size of the shared schedule.
+        ys = np.linspace(-0.9995, 0.9995, 5001) * MGF_A_RADIUS
+        got = solve_A(ys)
+        assert np.max(np.abs(24 * got * (1 - got) - ys * (1 + got) ** 3)) <= 1e-12
+        for y, a in zip(ys, got):
+            assert abs(a - solve_A(y)) <= 1e-14
+
+    def test_newton_settles_on_a_rounding_cycle_only_when_asked(self):
+        # From this start the steps cycle at about 2.3e-15, above the tolerance.
+        y, start = 2.3071 + 0j, 0.11137 + 0j
+        assert numerics._newton(y, start, float, settle=False) is None
+        a = numerics._newton(y, start, float, settle=True)
+        assert abs(24 * a * (1 - a) - y * (1 + a) ** 3) <= 1e-14
 
     def test_scalar_returns_complex(self):
         for y in (0.5, 1.5 + 0.5j, np.float64(0.5), np.complex128(0.3j)):

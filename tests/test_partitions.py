@@ -1,7 +1,6 @@
 """Partition utilities, Stirling conversions, shifted polynomial bases."""
 
 from collections import Counter
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +10,6 @@ from iselab.partitions import (
     binom_product,
     canonical_partition,
     falling_poly,
-    fraction_sum,
     positive_partitions,
     power_shift_poly,
     stirling2,
@@ -155,6 +153,3 @@ class TestExpansions:
         )
         assert {(left, right): w for w, left, right in splits} == dict(masks)
         assert len(splits) == len(masks)
-
-    def test_fraction_sum(self):
-        assert fraction_sum([Fraction(1, 3), Fraction(1, 6)]) == Fraction(1, 2)

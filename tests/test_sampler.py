@@ -5,14 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from iselab.families import BINARY, COMPLETE_BINARY, PLANE_0PM1, PLANE_PM1, increments
+from iselab.families import BINARY, COMPLETE_BINARY, PLANE_0PM1, PLANE_PM1
 from iselab.genfun import exact_moment
 from iselab.sampler import (
     SeedSpec,
     dyck_moment,
     empirical_dyck_moment,
     empirical_moment,
-    max_label,
     rescaled_density,
     sample_binary,
     sample_dyck_path,
@@ -199,7 +198,7 @@ class TestTreeSamplers:
     def test_plane_increment_membership(self):
         t = sample_plane(300, PLANE_0PM1, SeedSpec(11))
         steps = {int(t.label[v] - t.label[t.parent[v]]) for v in range(1, t.n_nodes)}
-        assert steps <= set(increments(PLANE_0PM1))
+        assert steps <= set(PLANE_0PM1.increments)
 
     def test_plane_size_zero(self):
         t = sample_plane(0, PLANE_PM1, SeedSpec(0))
@@ -221,10 +220,6 @@ class TestTreeSamplers:
     def test_bool_seed_rejected(self):
         with pytest.raises(TypeError):
             sample_binary(5, True)
-
-    def test_max_label(self):
-        t = sample_binary(100, SeedSpec(8))
-        assert max_label(t) == int(np.abs(t.label).max())
 
 
 class TestReferenceIdentity:

@@ -13,7 +13,6 @@ from iselab.series import (
     LaurentPoly,
     PowerSeries,
     sqrt_one_minus,
-    sqrt_one_minus_4t,
 )
 
 fractions = st.fractions(
@@ -121,7 +120,6 @@ class TestPowerSeries:
         assert (s * s).coeff(0) == 1
         assert (s * s).coeff(1) == -4
         assert all((s * s).coeff(k) == 0 for k in range(2, 7))
-        assert sqrt_one_minus_4t(6) == s
 
     @pytest.mark.parametrize("c", [4, 8, 12])
     def test_sqrt_one_minus_integer_coefficients(self, c):
@@ -241,12 +239,6 @@ class TestLaurentPoly:
         assert s.coeff(1) == 1 and s.coeff(-1) == 1 and s.coeff(0) == 0
         sq = s * s
         assert sq.coeff(0) == 2 and sq.coeff(2) == 1 and sq.coeff(-2) == 1
-
-    def test_at_one_and_palindromic(self):
-        p = LaurentPoly([1, 4, 1], lo=-1)
-        assert p.at_one() == 6
-        assert p.is_palindromic()
-        assert not LaurentPoly([1, 2], lo=0).is_palindromic()
 
     def test_eval_unit_circle(self):
         p = LaurentPoly([1, 0, 1], lo=-1)  # x + 1/x

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from iselab import trees
-from iselab.families import BINARY, COMPLETE_BINARY, PLANE_0PM1, PLANE_PM1, increments
+from iselab.families import BINARY, COMPLETE_BINARY, PLANE_0PM1, PLANE_PM1
 from iselab.trees import (
     LabelledTree,
     Profile,
@@ -81,6 +81,26 @@ class TestLabelledTree:
         bad = _tree(PLANE_PM1, [-1, 0, 0], role, [0, 1, -1], [0, 1, 1])
         with pytest.raises(ValueError, match="sibling ranks"):
             bad.validate()
+
+    @pytest.mark.parametrize(
+        "parent, role, label, depth",
+        [
+            ([-1, 0], [0, 1], [0, 1], [0, 1]),
+            ([-1, 0, 1], [0, 1, 1], [0, 1, 2], [0, 1, 2]),
+            ([-1, 0, 0, 1], [0, 0, 1, 0], [0, -1, 1, -2], [0, 1, 1, 2]),
+        ],
+        ids=["root-one-child", "path", "deep-one-child"],
+    )
+    def test_validate_rejects_complete_node_with_one_child(self, parent, role, label, depth):
+        # Each is a valid binary tree, so only fullness can reject it.
+        _tree(BINARY, parent, role, label, depth).validate()
+        bad = _tree(COMPLETE_BINARY, parent, role, label, depth)
+        with pytest.raises(ValueError, match="zero or two children"):
+            bad.validate()
+
+    def test_validate_accepts_full_complete_trees(self):
+        _tree(COMPLETE_BINARY, [-1], [0], [0], [0]).validate()
+        _tree(COMPLETE_BINARY, [-1, 0, 0], [0, 0, 1], [0, -1, 1], [0, 1, 1]).validate()
 
 
 class TestProfiles:
