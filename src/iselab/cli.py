@@ -164,7 +164,6 @@ def _h_moments_exact(args) -> tuple[list[str], list[list], dict, int]:
     for n in sizes:
         if not fam.valid_size(n):
             raise ValueError(f"size {n} is not valid for family {fam.name}")
-    genfun.build_exact_engine(fam, sizes)
     rows = []
     for n in sizes:
         em = genfun.exact_moment(fam, lam, n)

@@ -15,20 +15,21 @@ engine) reduces to it through the label multiset identity: the labels of
 a complete tree are {0} plus, for every internal node with label l, the
 pair {l-1, l+1}.  Every per-family constant comes from the TreeFamily.
 
-Everything runs twice: exactly, and in float64 over the scaled variable
-tau = base*t (whose coefficients stay O(1) at any order).  The exact run
-stays in the integers: every coefficient counts labelled objects, and
-sqrt(1 - base*t) has integer coefficients with constant term 1 for every
-base used here, so dividing by it never leaves Z.  The only rational is
-the final quotient total / count in exact_moment.
+Moments run the recursion in closed form: every series is t^(-m) P(Z)
+with Z = sqrt(1 - base*t) and P a Laurent polynomial of a few terms, so
+its t^n coefficient is a sum of binomials C(k/2, n + m), summed in
+rationals or float64 at any n.  Truncated integer PowerSeries remain for
+partial_F, horizontal_partial_F and power_product_series, the
+independent reference the closed form is tested against.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import sys
 from fractions import Fraction
-from math import factorial
+from functools import lru_cache
+from math import comb, factorial, lcm, pi, sqrt
 from typing import NamedTuple, Sequence, Union
 
 from .families import (
@@ -48,23 +49,11 @@ from .partitions import (
     sub_multisets,
     weight,
 )
-from .series import (
-    BivariateSeries,
-    FloatSeries,
-    LaurentPoly,
-    PowerSeries,
-    sqrt_one_minus,
-)
-
-# Hard cap for exact-arithmetic truncation orders; float engines are not
-# capped (their cost per coefficient is constant).
-MAX_EXACT_ORDER = 1024
+from .series import BivariateSeries, LaurentPoly, PowerSeries, sqrt_one_minus
 
 # The exact bivariate profile series carries a Laurent polynomial per
-# coefficient and already takes seconds at order 120, so it keeps a lower cap.
+# coefficient and already takes seconds at order 120, so it is capped.
 PROFILE_MAX_EXACT_ORDER = 512
-
-Series = Union[PowerSeries, FloatSeries]
 
 # x + 1/x, the symbolic stand-in for 2*cos(u).
 _S_POLY = LaurentPoly([1, 0, 1], lo=-1)
@@ -75,15 +64,6 @@ class ExactMoment(NamedTuple):
 
     exact: Fraction
     normalized: float
-
-
-@dataclass(frozen=True)
-class MomentTable:
-    """Rows of (size, exact expectation, normalized moment) for one partition."""
-
-    family: TreeFamily
-    partition: tuple[int, ...]
-    rows: tuple[tuple[int, Fraction, float], ...]
 
 
 def f_series(family: TreeFamily, order: int) -> PowerSeries:
@@ -97,9 +77,7 @@ def f_series(family: TreeFamily, order: int) -> PowerSeries:
 
 
 class _ExactOps:
-    """Exact-series primitives for one family at a fixed order."""
-
-    kind = "exact"
+    """Truncated PowerSeries primitives for one family at a fixed order."""
 
     def __init__(self, family: TreeFamily, order: int):
         self.order = order
@@ -116,38 +94,68 @@ class _ExactOps:
         return s / self._sqrt
 
 
-class _FloatOps:
-    """float64 primitives over the scaled variable tau = base*t.
+_ONE_MINUS_Z2 = LaurentPoly([1, 0, -1])  # base*t, in Z
 
-    Scaled coefficients of the base series are Catalan(n)/4^n for every
-    family, so they decay like n^(-3/2) and never overflow.
-    """
 
-    kind = "float"
+class _ZForm:
+    """t^(-m) P(Z) / den with Z = sqrt(1 - base*t), P an integer Laurent
+    polynomial: the value type of the closed-form backend.  A sum brings
+    the smaller m up to the larger through t = (1 - Z^2)/base."""
 
-    def __init__(self, family: TreeFamily, order: int):
-        import numpy as np
+    __slots__ = ("base", "m", "poly", "den")
 
-        self.order = order
-        self._base = family.growth_base
-        k = np.arange(order, dtype=np.float64)
+    def __init__(self, base: int, m: int, poly: LaurentPoly, den: int = 1):
+        self.base, self.m, self.poly, self.den = base, m, poly, den
 
-        def from_ratios(r):
-            return FloatSeries(np.cumprod(np.concatenate([[1.0], r])))
+    def _lift(self, m: int) -> tuple[LaurentPoly, int]:
+        poly = self.poly
+        for _ in range(m - self.m):
+            poly = poly * _ONE_MINUS_Z2
+        return poly, self.den * self.base ** (m - self.m)
 
-        self.f0 = from_ratios((4 * k + 2) / (4 * (k + 2)))
-        # 1/sqrt(1 - tau) = sum C(2k,k)/4^k tau^k, so dividing by the root
-        # is one product.
-        self._inv_sqrt = from_ratios((2 * k + 1) / (2 * k + 2))
+    def __add__(self, other: "_ZForm") -> "_ZForm":
+        if other.poly.is_zero() or self.poly.is_zero():
+            return other if self.poly.is_zero() else self
+        m = max(self.m, other.m)
+        (p, dp), (q, dq) = self._lift(m), other._lift(m)
+        den = lcm(dp, dq)
+        return _ZForm(self.base, m, p * (den // dp) + q * (den // dq), den)
 
-    def zero(self) -> FloatSeries:
-        return FloatSeries.zero(self.order)
+    def __mul__(self, other):
+        if isinstance(other, _ZForm):
+            return _ZForm(self.base, self.m + other.m, self.poly * other.poly, self.den * other.den)
+        return _ZForm(self.base, self.m, self.poly * other, self.den)
 
-    def t_shift(self, s: FloatSeries) -> FloatSeries:
-        return s.shift(1) * (1.0 / self._base)
+    __rmul__ = __mul__
 
-    def sqrt_div(self, s: FloatSeries) -> FloatSeries:
-        return s * self._inv_sqrt
+    def t_ddt(self) -> "_ZForm":
+        """t d/dt, which is -m P - (1 - Z^2)/(2Z) P'(Z) on P."""
+        p, m = self.poly, self.m
+        coeffs = [p.coeff(k) * (k - 2 * m) - p.coeff(k + 2) * (k + 2)
+                  for k in range(p.lo - 2, p.hi + 1)]
+        return _ZForm(self.base, m, LaurentPoly(coeffs, lo=p.lo - 2), 2 * self.den)
+
+
+class _ClosedOps:
+    """Closed-form primitives: F = t^(-1) (2/base)(1 - Z), division by Z."""
+
+    def __init__(self, family: TreeFamily):
+        b = family.growth_base
+        self.f0 = _ZForm(b, 1, LaurentPoly([2, -2]), b)
+
+    def zero(self) -> _ZForm:
+        return self.f0 * 0
+
+    def t_shift(self, s: _ZForm) -> _ZForm:
+        if not s.m:  # t = (1 - Z^2)/base
+            return _ZForm(s.base, 0, s.poly * _ONE_MINUS_Z2, s.den * s.base)
+        return _ZForm(s.base, s.m - 1, s.poly, s.den)
+
+    def sqrt_div(self, s: _ZForm) -> _ZForm:
+        return _ZForm(s.base, s.m, s.poly.divide_monomial(1, 1), s.den)
+
+
+Series = Union[PowerSeries, _ZForm]
 
 
 def _apply_node_mult(s: Series, a: int, b: int) -> Series:
@@ -251,43 +259,34 @@ class _Engine:
         return val
 
 
-# Engines are grow-only per (family, template, kind): a request above the
-# current order rebuilds from scratch at the larger order (no cross-order
-# reuse), so callers looping over sizes first call build_exact_engine.
+# Engines by (family, template, order): order None is the closed form, an
+# int the PowerSeries backend truncated there.
 _ENGINES: dict[tuple, _Engine] = {}
 
 _HORIZONTAL_TEMPLATE = (("up", "up"),)
 
 
-def _engine(
-    family: TreeFamily, kind: str, order: int, template: Template | None = None
-) -> _Engine:
+def _engine(family: TreeFamily, order: int | None = None, template: Template | None = None) -> _Engine:
     """The engine of a family's template, or of another template (the
-    horizontal one) over the same base series and node rule."""
-    if kind == "exact" and order > MAX_EXACT_ORDER:
-        raise ValueError(
-            f"exact truncation order {order} exceeds MAX_EXACT_ORDER={MAX_EXACT_ORDER}"
-        )
+    horizontal one) over the same base series and node rule.  f_series
+    refuses a negative order."""
     template = template or family.template
-    key = (family, template, kind)
+    key = (family, template, order)
     eng = _ENGINES.get(key)
-    if eng is not None and eng.ops.order >= order:
-        return eng
-    ops = _ExactOps(family, order) if kind == "exact" else _FloatOps(family, order)
-    eng = _Engine(ops, template, family.node_mult)
-    _ENGINES[key] = eng
+    if eng is None:
+        ops = _ClosedOps(family) if order is None else _ExactOps(family, order)
+        eng = _ENGINES[key] = _Engine(ops, template, family.node_mult)
     return eng
 
 
-def _family_series(
-    family: TreeFamily, kind: str, order: int, lam: tuple[int, ...], power_basis: bool
-) -> tuple[_Engine, Series]:
+def _family_series(family: TreeFamily, order: int | None, lam: tuple[int, ...],
+                   power_basis: bool) -> tuple[_Engine, Series]:
     """Power-sum (power_basis) or factorial-sum product series of a family,
     with the engine it came from: its own, or the one it rides on."""
     if family.engine_family is None:
-        eng = _engine(family, kind, order)
+        eng = _engine(family, order)
         return eng, eng.pps(lam) if power_basis else eng.pf(lam)
-    eng = _engine(family.engine_family, kind, order)
+    eng = _engine(family.engine_family, order)
     return eng, _rider_series(eng, family, lam, power_basis)
 
 
@@ -332,41 +331,68 @@ def _rider_series(
     return val
 
 
-def partial_F(
-    family: TreeFamily, lam: Sequence[int], order: int
-) -> PowerSeries:
+def partial_F(family: TreeFamily, lam: Sequence[int], order: int) -> PowerSeries:
     """Exact factorial-sum product series, truncated at the given order.
 
     t^idx carries the total over all labelled objects of index idx of
     prod_i sum_v fall(label(v), lam_i); the empty partition gives the
     base counting series.
     """
-    lam_t = canonical_partition(lam)
-    if order < 0:
-        raise ValueError("truncation order must be non-negative")
-    _, s = _family_series(family, "exact", order, lam_t, power_basis=False)
-    return s.truncate(order) if s.order > order else s
+    return _family_series(family, order, canonical_partition(lam), power_basis=False)[1]
 
 
 def horizontal_partial_F(lam: Sequence[int], order: int) -> PowerSeries:
     """Binary-tree analogue of partial_F with depths in place of labels."""
-    lam_t = canonical_partition(lam)
-    if order < 0:
-        raise ValueError("truncation order must be non-negative")
-    eng = _engine(BINARY, "exact", order, _HORIZONTAL_TEMPLATE)
-    s = eng.pf(lam_t)
-    return s.truncate(order) if s.order > order else s
+    return _engine(BINARY, order, _HORIZONTAL_TEMPLATE).pf(canonical_partition(lam))
 
 
-def power_product_series(
-    family: TreeFamily, lam: Sequence[int], order: int
-) -> PowerSeries:
+def power_product_series(family: TreeFamily, lam: Sequence[int], order: int) -> PowerSeries:
     """Exact series totalling prod_i sum_v label(v)^lam_i over objects."""
-    lam_t = canonical_partition(lam)
-    if order < 0:
-        raise ValueError("truncation order must be non-negative")
-    _, s = _family_series(family, "exact", order, lam_t, power_basis=True)
-    return s.truncate(order) if s.order > order else s
+    return _family_series(family, order, canonical_partition(lam), power_basis=True)[1]
+
+
+# sqrt(pi N) C(2N, N) / 4^N = sum_j _CENTRAL_ASYMPTOTIC[j] N^(-j) + O(N^-8),
+# within 3e-16 of the exact value for every N >= _FLOAT_FROM_INDEX (6e-14
+# at N = 16), so float_moment evaluates smaller indices exactly.
+_CENTRAL_ASYMPTOTIC = (1.0, -1 / 8, 1 / 128, 5 / 1024, -21 / 32768, -399 / 262144,
+                       869 / 4194304, 39325 / 33554432)
+_FLOAT_FROM_INDEX = 32
+# Relative rounding error allowed for one float term c_k R_k(n): the
+# asymptotic series, up to a dozen contiguous steps, and the products.
+_TERM_EPS = 64 * sys.float_info.epsilon
+_FLOAT_MOMENT_TOL = 1e-12
+
+
+@lru_cache(maxsize=256)
+def _half_binomial(k: int, N: int, exact: bool) -> Fraction | float:
+    """(-1)^N C(k/2, N) for odd k, from C(2N, N)/4^N at k = -1 through the
+    contiguous relation C(a - 1, N) = C(a, N) (a - N)/a."""
+    if k < -1:
+        return _half_binomial(k + 2, N, exact) * (k + 2 - 2 * N) / (k + 2)
+    if k > -1:
+        return _half_binomial(k - 2, N, exact) * k / (k - 2 * N)
+    if exact:
+        return Fraction(comb(2 * N, N), 4**N)
+    acc = 0.0
+    for c in reversed(_CENTRAL_ASYMPTOTIC):
+        acc = acc / N + c
+    return acc / sqrt(pi * N)
+
+
+def _z_terms(s: _ZForm, idx: int, exact: bool) -> list:
+    """The terms of [t^idx] s / base^idx, one per power Z^k of s, exact or
+    in float64 (idx >= 32): [t^idx] t^(-m) Z^k = (-1)^N C(k/2, N) base^N
+    with N = idx + m, an integer binomial for even k."""
+    N = idx + s.m
+    scale = Fraction(s.base**s.m, s.den) if exact else s.base**s.m / s.den
+    terms = []
+    for k, c in enumerate(s.poly.coeffs, s.poly.lo):
+        if k % 2:
+            terms.append(c * scale * _half_binomial(k, N, exact))
+        elif c:
+            j = k // 2
+            terms.append(c * scale * (comb(N - j - 1, N) if j < 0 else (-1) ** N * comb(j, N)))
+    return terms
 
 
 def _normalizer(family: TreeFamily, lam: tuple[int, ...], n: int) -> float:
@@ -384,43 +410,32 @@ def exact_moment(family: TreeFamily, lam: Sequence[int], n: int) -> ExactMoment:
     """
     lam_t = canonical_partition(lam)
     idx = family.series_index(n)
-    pps = power_product_series(family, lam_t, idx)
-    exact = Fraction(pps.coeff(idx), family.count(n))
+    eng, s = _family_series(family, None, lam_t, power_basis=True)
+    exact = sum(_z_terms(s, idx, True), Fraction(0)) / sum(_z_terms(eng.ops.f0, idx, True))
     return ExactMoment(exact, _normalizer(family, lam_t, n) * float(exact))
 
 
 def float_moment(family: TreeFamily, lam: Sequence[int], n: int) -> float:
-    """float64 twin of exact_moment's normalized value, any order."""
+    """float64 twin of exact_moment's normalized value, at any size.
+
+    Series indices below 32 are evaluated exactly.  Above, the value is a
+    sum of terms c_k R_k(n) with the rounding bound eps * sum |c_k R_k(n)|;
+    a bound over 1e-12 of the value is refused with a ToleranceError.
+    """
     lam_t = canonical_partition(lam)
     idx = family.series_index(n)
-    eng, s = _family_series(family, "float", idx, lam_t, power_basis=True)
-    expectation = s.coeff(idx) / eng.ops.f0.coeff(idx)
-    return _normalizer(family, lam_t, n) * expectation
-
-
-def build_exact_engine(family: TreeFamily, sizes: Sequence[int]) -> None:
-    """Build the family's exact engine once, at the largest requested order.
-
-    Engines rebuild from scratch when a larger order is requested, so
-    callers about to run over several sizes in any order call this first.
-    An order above MAX_EXACT_ORDER is left for the per-size call to refuse.
-    """
-    top = max((family.series_index(n) for n in sizes), default=0)
-    if top <= MAX_EXACT_ORDER:
-        _engine(family.engine_family or family, "exact", top)
-
-
-def moment_table(
-    family: TreeFamily, lam: Sequence[int], sizes: Sequence[int]
-) -> MomentTable:
-    """Exact and normalized moments for one partition across sizes."""
-    lam_t = canonical_partition(lam)
-    build_exact_engine(family, sizes)
-    rows = []
-    for n in sizes:
-        em = exact_moment(family, lam_t, n)
-        rows.append((n, em.exact, em.normalized))
-    return MomentTable(family=family, partition=lam_t, rows=tuple(rows))
+    if idx < _FLOAT_FROM_INDEX:
+        return exact_moment(family, lam_t, n).normalized
+    eng, s = _family_series(family, None, lam_t, power_basis=True)
+    count = sum(_z_terms(eng.ops.f0, idx, False))
+    terms = [t / count for t in _z_terms(s, idx, False)]
+    value = sum(terms)
+    bound = _TERM_EPS * sum(map(abs, terms))
+    if bound > _FLOAT_MOMENT_TOL * abs(value):
+        from .numerics import ToleranceError  # keeps scipy out of genfun's import
+        raise ToleranceError(f"float_moment rounding bound {bound:.2e} exceeds "
+                             f"{_FLOAT_MOMENT_TOL:g} of the value {value:.6e}")
+    return _normalizer(family, lam_t, n) * value
 
 
 def _catalan_series(order: int, scale: int = 1) -> PowerSeries:

@@ -5,10 +5,10 @@ computations.  Its coefficients stay Python ints as long as the inputs
 are ints and every division is by a series with constant term +-1; a
 Fraction appears only when a caller passes one in or a division really
 needs it.  Products and quotients take one C-level dot product per output
-coefficient.  FloatSeries is its float64 twin for orders where exact
-arithmetic is unaffordable; it exists for large-order convergence studies
-and is never used by exact oracles.  LaurentPoly and BivariateSeries add
-the label variable x for the profile-correlation series.
+coefficient.  FloatSeries is its float64 twin with the same truncation
+semantics.  LaurentPoly and BivariateSeries add the label variable x for
+the profile-correlation series; LaurentPoly also holds the polynomials in
+Z of the closed-form moment engine.
 
 All values are immutable after construction and every operation is a pure
 function, so values are safe to share across threads.
@@ -202,16 +202,6 @@ class FloatSeries:
         self.order = order
         self.coeffs = arr
 
-    @classmethod
-    def zero(cls, order: int) -> "FloatSeries":
-        return cls(np.zeros(order + 1))
-
-    @classmethod
-    def one(cls, order: int) -> "FloatSeries":
-        a = np.zeros(order + 1)
-        a[0] = 1.0
-        return cls(a)
-
     def coeff(self, n: int) -> float:
         if not 0 <= n <= self.order:
             raise IndexError(f"coefficient {n} beyond truncation order {self.order}")
@@ -240,9 +230,6 @@ class FloatSeries:
             return NotImplemented
         n = min(self.order, other.order)
         return FloatSeries(self.coeffs[: n + 1] - other.coeffs[: n + 1])
-
-    def __neg__(self):
-        return FloatSeries(-self.coeffs)
 
     def __mul__(self, other):
         if isinstance(other, FloatSeries):

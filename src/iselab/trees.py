@@ -19,13 +19,13 @@ import numpy as np
 from .families import TreeFamily
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LabelledTree:
     """Array-encoded rooted labelled tree.
 
     parent[v] is -1 at the root; child_role[v] is 0/1 for binary left and
     right children and the sibling index for plane trees; label carries the
-    vertical labels and depth the root distances.
+    vertical labels and depth the root distances; == and hash are identity.
     """
 
     family: TreeFamily

@@ -6,9 +6,8 @@ from fractions import Fraction
 import pytest
 
 from iselab import genfun
-from iselab.families import BINARY, COMPLETE_BINARY, PLANE_0PM1, PLANE_PM1
+from iselab.families import BINARY, COMPLETE_BINARY, FAMILIES, PLANE_0PM1, PLANE_PM1
 from iselab.genfun import (
-    MAX_EXACT_ORDER,
     PROFILE_MAX_EXACT_ORDER,
     exact_moment,
     f_series,
@@ -16,12 +15,13 @@ from iselab.genfun import (
     fourier_second_moment,
     horizontal_partial_F,
     lemma_L3_ratio,
-    moment_table,
     partial_F,
     power_product_series,
     profile_correlation_series,
 )
-from iselab.partitions import positive_partitions
+from iselab.grandmoments import c_lambda, d_lambda
+from iselab.numerics import ToleranceError
+from iselab.partitions import positive_partitions, weight
 from iselab.series import LaurentPoly
 from iselab.trees import enumerate_trees, oracle_power_product_totals
 
@@ -160,32 +160,6 @@ class TestMoments:
         got = float_moment(family, lam, n)
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
-    def test_moment_table(self):
-        tab = moment_table(BINARY, (2,), (2, 3, 4))
-        assert tab.family is BINARY
-        assert tab.partition == (2,)
-        assert [r[0] for r in tab.rows] == [2, 3, 4]
-        assert tab.rows[0][1] == 1
-        assert tab.rows[1][1] == Fraction(14, 5)
-
-    def test_moment_table_builds_engine_once_in_typed_order(self, monkeypatch):
-        built = []
-        real_ops = genfun._ExactOps
-
-        def counting_ops(family, order):
-            built.append(order)
-            return real_ops(family, order)
-
-        monkeypatch.setattr(genfun, "_ENGINES", {})
-        monkeypatch.setattr(genfun, "_ExactOps", counting_ops)
-        sizes = (3, 12, 5)
-        tab = moment_table(PLANE_PM1, (2,), sizes)
-        assert built == [12]
-        assert [r[0] for r in tab.rows] == list(sizes)
-        assert [r[1] for r in tab.rows] == [
-            exact_moment(PLANE_PM1, (2,), n).exact for n in sizes
-        ]
-
 
 class TestFourier:
     def test_zero_angle_is_square_node_count(self):
@@ -222,19 +196,90 @@ class TestFourier:
         assert sum(top.coeffs) == family.count(n) * family.node_count(n) ** 2
 
     def test_max_order_guard(self):
-        with pytest.raises(ValueError, match="MAX_EXACT_ORDER"):
-            profile_correlation_series(BINARY, MAX_EXACT_ORDER + 1)
+        with pytest.raises(ValueError, match="PROFILE_MAX_EXACT_ORDER"):
+            fourier_second_moment(BINARY, PROFILE_MAX_EXACT_ORDER + 1, 0.5)
 
     def test_profile_order_guard_below_engine_cap(self):
-        assert PROFILE_MAX_EXACT_ORDER == 512 < MAX_EXACT_ORDER
+        assert PROFILE_MAX_EXACT_ORDER == 512
         with pytest.raises(ValueError, match="PROFILE_MAX_EXACT_ORDER=512"):
             profile_correlation_series(BINARY, PROFILE_MAX_EXACT_ORDER + 1)
 
 
+def _valid_size(family, n):
+    return n if family.valid_size(n) else n + 1
+
+
 class TestOrderGuard:
-    def test_engine_refuses_above_cap(self):
-        assert MAX_EXACT_ORDER == 1024
-        with pytest.raises(ValueError, match="MAX_EXACT_ORDER=1024"):
-            partial_F(BINARY, (2,), MAX_EXACT_ORDER + 1)
-        with pytest.raises(ValueError, match="MAX_EXACT_ORDER=1024"):
-            exact_moment(BINARY, (2,), MAX_EXACT_ORDER + 1)
+    def test_exact_moment_has_no_order_cap(self):
+        for n in (1025, 4097):
+            em = exact_moment(BINARY, (2,), n)
+            assert em.exact > 0
+            got = float_moment(BINARY, (2,), n)
+            assert abs(got - em.normalized) <= 1e-12 * abs(em.normalized)
+
+
+def _closed_form(family, lam):
+    """The closed-form value t^(-m) P(Z) of a family's power-sum series."""
+    return genfun._family_series(family, None, lam, power_basis=True)[1]
+
+
+# Lead of P at Z^k0 over c_lambda, with p parts of total weight w.
+LEAD_FACTORS = {
+    BINARY: lambda p, w: 1,
+    PLANE_PM1: lambda p, w: Fraction(1, 2 ** (w // 2)),
+    PLANE_0PM1: lambda p, w: Fraction(1, 3 ** (w // 2)),
+    COMPLETE_BINARY: lambda p, w: 2**p,
+}
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("family", list(FAMILIES.values()), ids=lambda f: f.name)
+    def test_lead_coefficients_are_grand_moments(self, family):
+        checked = 0
+        for lam in positive_partitions(8, 4):
+            s = _closed_form(family, lam)
+            w, p = weight(lam), len(lam)
+            if w % 2:
+                # Label sign symmetry: no negative power of Z survives.
+                assert s.poly.is_zero() or s.poly.lo >= 0, lam
+                continue
+            k0 = -(2 * p + w // 2 - 1)
+            assert s.poly.lo >= k0, lam
+            lead = s.base**s.m * Fraction(s.poly.coeff(k0), s.den)
+            assert lead == LEAD_FACTORS[family](p, w) * c_lambda(lam), lam
+            checked += 1
+        assert checked == 31
+
+    def test_horizontal_leads_are_excursion_moments(self):
+        eng = genfun._engine(BINARY, None, genfun._HORIZONTAL_TEMPLATE)
+        for lam in positive_partitions(8, 4):
+            s = eng.pf(lam)
+            k0 = -(2 * len(lam) + weight(lam) - 1)
+            assert s.poly.lo >= k0, lam
+            assert s.base**s.m * Fraction(s.poly.coeff(k0), s.den) == d_lambda(lam), lam
+
+    @pytest.mark.parametrize("family", list(FAMILIES.values()), ids=lambda f: f.name)
+    def test_coefficients_match_series_reference(self, family):
+        order = 30
+        lams = [(), (0,), (2,), (0, 2), (1, 1), (4,), (2, 2), (0, 0, 2),
+                (1, 3), (1, 1, 2), (0, 1, 1), (6,)]
+        for lam in lams:
+            s = _closed_form(family, lam)
+            want = power_product_series(family, lam, order)
+            got = [sum(genfun._z_terms(s, i, True), Fraction(0)) * s.base**i
+                   for i in range(order + 1)]
+            assert got == list(want.coeffs), lam
+
+    @pytest.mark.parametrize("n", [64, 1024, 4096])
+    @pytest.mark.parametrize("family", list(FAMILIES.values()), ids=lambda f: f.name)
+    def test_float_matches_exact(self, family, n):
+        n = _valid_size(family, n)
+        for lam in [(2,), (1, 1), (4,), (2, 2), (1, 1, 2)]:
+            want = exact_moment(family, lam, n).normalized
+            got = float_moment(family, lam, n)
+            assert abs(got - want) <= 1e-12 * abs(want), lam
+
+    def test_rounding_bound_refusal(self, monkeypatch):
+        monkeypatch.setattr(genfun, "_TERM_EPS", 1e-3)
+        with pytest.raises(ToleranceError, match="rounding bound"):
+            float_moment(BINARY, (2, 2), 1024)

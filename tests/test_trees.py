@@ -39,6 +39,16 @@ class TestLabelledTree:
     def test_validate_accepts_well_formed(self):
         CHAIN.validate()
 
+    def test_equality_is_identity(self):
+        twin = _tree(BINARY, [-1, 0, 1], [0, 1, 0], [0, 1, 0], [0, 1, 2])
+        assert CHAIN == CHAIN
+        assert CHAIN != twin
+
+    def test_hash_is_identity(self):
+        twin = _tree(BINARY, [-1, 0, 1], [0, 1, 0], [0, 1, 0], [0, 1, 2])
+        assert hash(CHAIN) == hash(CHAIN)
+        assert len({CHAIN, twin, CHAIN}) == 2
+
     def test_validate_rejects_two_roots(self):
         bad = _tree(BINARY, [-1, -1], [0, 0], [0, 0], [0, 0])
         with pytest.raises(ValueError, match="one root"):
