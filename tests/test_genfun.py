@@ -160,6 +160,15 @@ class TestMoments:
         got = float_moment(family, lam, n)
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
+    def test_moment_table(self):
+        # A table of moments over several sizes is one exact_moment per
+        # size; rows follow the order the sizes are given in.
+        sizes = (2, 3, 4)
+        rows = [(n, exact_moment(BINARY, (2,), n).exact) for n in sizes]
+        assert [r[0] for r in rows] == [2, 3, 4]
+        assert rows[0][1] == 1
+        assert rows[1][1] == Fraction(14, 5)
+
 
 class TestFourier:
     def test_zero_angle_is_square_node_count(self):
