@@ -243,11 +243,11 @@ def _h_mean_density(args) -> tuple[list[str], list[list], dict, int]:
     grid = _parse_grid(args.grid)
     rows = []
     for lam_x in grid:
-        q = numerics.mean_density_quadrature(lam_x, cfg)
+        q, err = numerics.mean_density_quadrature_with_error(lam_x, cfg)
         s = numerics.mean_density_series(lam_x)
-        rows.append([float(lam_x), q, s, abs(q - s)])
+        rows.append([float(lam_x), q, s, abs(q - s), err])
     meta = {"grid": args.grid}
-    return (["lambda", "quadrature", "series", "gap"], rows, meta, 0)
+    return (["lambda", "quadrature", "series", "gap", "err"], rows, meta, 0)
 
 
 def _h_fourier_bound(args) -> tuple[list[str], list[list], dict, int]:

@@ -41,6 +41,7 @@ from .families import (
     TreeFamily,
     catalan,
 )
+from .numerics import ToleranceError
 from .partitions import (
     canonical_partition,
     falling_poly,
@@ -432,7 +433,6 @@ def float_moment(family: TreeFamily, lam: Sequence[int], n: int) -> float:
     value = sum(terms)
     bound = _TERM_EPS * sum(map(abs, terms))
     if bound > _FLOAT_MOMENT_TOL * abs(value):
-        from .numerics import ToleranceError  # keeps scipy out of genfun's import
         raise ToleranceError(f"float_moment rounding bound {bound:.2e} exceeds "
                              f"{_FLOAT_MOMENT_TOL:g} of the value {value:.6e}")
     return _normalizer(family, lam_t, n) * value

@@ -187,9 +187,10 @@ class TestNumericCommands:
         rc, out, _ = run_cli(capsys, ["mean-density", "--grid=-1,0,1"])
         assert rc == 0
         _, header, rows = parse_csv(out)
-        assert header == ["lambda", "quadrature", "series", "gap"]
+        assert header == ["lambda", "quadrature", "series", "gap", "err"]
         for row in rows:
             assert float(row[3]) <= 1e-8
+            assert 0.0 < float(row[4]) <= 1e-14
 
     def test_tolerance_failure_exit_code(self, capsys):
         rc, _, err = run_cli(capsys, ["mean-density", "--grid", "0", "--tol", "1e-30"])

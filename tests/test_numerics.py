@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from iselab import numerics
-from iselab.grandmoments import density0_moment
+from iselab.grandmoments import density0_moment, limit_moment_ise
 from iselab.numerics import (
     DEFAULT_QUADRATURE,
     MGF_A_RADIUS,
@@ -15,6 +15,7 @@ from iselab.numerics import (
     contour_point,
     gamma_fn,
     mean_density_quadrature,
+    mean_density_quadrature_with_error,
     mean_density_series,
     mgf_L,
     mgf_L_with_error,
@@ -36,8 +37,6 @@ class TestGammaAndConfig:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             QuadratureConfig(abs_tol=0.0)
-        with pytest.raises(ValueError):
-            QuadratureConfig(max_subdivisions=5)
         with pytest.raises(ValueError):
             QuadratureConfig(truncation_length=1.0)
         assert DEFAULT_QUADRATURE.abs_tol == 1e-10
@@ -64,6 +63,81 @@ class TestMeanDensity:
     def test_series_guard(self):
         with pytest.raises(ValueError):
             mean_density_series(6.5)
+
+
+# q(lambda) from 50-digit mpmath: Gauss-Legendre and tanh-sinh quadrature in
+# y with breakpoints every y0/64 up to 4 y0, y0 = (lambda^2/2)^(1/3), and
+# the entire series at 200 digits (900 from 60 on, where tanh-sinh is left
+# out) agree to 2e-20 or better; at 0, the closed form
+# 2^(-3/4) Gamma(3/4)/sqrt(pi) and the series.  At 100 a fixed upper limit
+# s = 4.2 would cut into the peak at s = (lambda/sqrt(2))^(1/3) = 4.13.
+PINNED_Q = {
+    0.0: 0.41108947933122927617,
+    1e-4: 0.4110894750313626626,
+    0.01: 0.41104680963748458266,
+    0.05: 0.41005545386938267296,
+    0.1: 0.4071123469683262956,
+    0.5: 0.33898062198987474315,
+    1.0: 0.21963779591516989924,
+    1.5: 0.12329230125376453492,
+    2.0: 0.062455752307475996872,
+    4.0: 0.0020588983750499347083,
+    6.0: 3.1676230776172227583e-5,
+    10.0: 1.6047065881533670189e-9,
+    20.0: 7.3592319303103242118e-23,
+    30.0: 8.902934705200529062e-39,
+    60.0: 8.101809861695475049596e-97,
+    100.0: 7.85818434199043172562e-191,
+}
+
+
+@pytest.mark.filterwarnings("error")
+class TestDensityRule:
+    @pytest.mark.parametrize("lam", sorted(PINNED_Q))
+    def test_pinned_values(self, lam):
+        for x in (lam, -lam):
+            assert mean_density_quadrature(x) == pytest.approx(
+                PINNED_Q[lam], rel=1e-12, abs=0.0
+            )
+
+    def test_no_refusal_on_sweeps(self):
+        # 4001 points over [-10, 10], then 2001 in (0, 0.2], where a single
+        # panel cannot resolve the layer near s ~ lambda.
+        sweep = np.concatenate([np.linspace(-10.0, 10.0, 4001), np.linspace(0.0, 0.2, 2002)[1:]])
+        worst = 0.0
+        for lam in sweep:
+            value, err = mean_density_quadrature_with_error(lam, DEFAULT_QUADRATURE)
+            assert mean_density_quadrature(lam) == value
+            worst = max(worst, err)
+        assert worst <= DEFAULT_QUADRATURE.abs_tol
+
+    def test_far_tail_underflows_to_zero(self):
+        for lam in (150.0, 1e6, -1e300):
+            assert mean_density_quadrature_with_error(lam) == (0.0, 0.0)
+
+    def test_domain_refusals(self):
+        for lam in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                mean_density_quadrature(lam)
+
+    def test_tolerance_is_honoured(self):
+        _, err = mean_density_quadrature_with_error(0.0)
+        assert 0.0 < err <= 1e-14
+        tight = QuadratureConfig(abs_tol=err / 2, rel_tol=err / 8)
+        with pytest.raises(ToleranceError, match="gap .* exceeds bound"):
+            mean_density_quadrature(0.0, tight)
+
+    def test_integrates_to_the_moment_ladder(self):
+        # 2 int_0^oo x^(2k) q(x) dx is the ISE moment (2k) and 1 at k = 0;
+        # past x = 20 the integrand is below 1e-12.
+        t, w = np.polynomial.legendre.leggauss(160)
+        x, w = 10.0 * (t + 1.0), 10.0 * w
+        q = np.array([mean_density_quadrature(v) for v in x])
+        assert 2.0 * np.dot(w, q) == pytest.approx(1.0, rel=1e-12)
+        for k in range(1, 5):
+            assert 2.0 * np.dot(w, x ** (2 * k) * q) == pytest.approx(
+                limit_moment_ise((2 * k,)), rel=1e-12
+            )
 
 
 class TestBranchTracking:

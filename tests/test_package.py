@@ -1,8 +1,12 @@
-"""Package surface: the names the benchmark and the README read, and no
-dispatch on family names in the source."""
+"""Package surface: the names the benchmark and the README read, no
+dispatch on family names in the source, and numpy as the only runtime
+dependency."""
 
 import importlib.util
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import iselab
@@ -48,3 +52,20 @@ def test_no_dispatch_on_family_names():
         if NAME_DISPATCH.search(line)
     ]
     assert hits == []
+
+
+def test_import_and_density_load_no_scipy():
+    code = (
+        "import sys, iselab\n"
+        "from iselab import cli\n"
+        "assert cli.main(['mean-density', '--grid=-3:3:25']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert out.stdout.splitlines()[-1] == "[]"
