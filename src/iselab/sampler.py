@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -212,29 +212,6 @@ def rescaled_density(profile: Profile, family: TreeFamily, x: float) -> float:
 class EmpiricalMoment(NamedTuple):
     mean: float
     stderr: float
-
-
-def tree_moment(tree: LabelledTree, lam: Sequence[int], family: TreeFamily) -> float:
-    """Product over parts k of gamma^k N^(-1-k/4) sum_v label(v)^k."""
-    n_nodes = tree.n_nodes
-    labels = tree.label.astype(np.float64)
-    out = 1.0
-    for k in lam:
-        ps = float(np.sum(labels**k))
-        out *= family.gamma**k * n_nodes ** (-1.0 - k / 4.0) * ps
-    return out
-
-
-def empirical_moment(
-    samples: Iterable[LabelledTree], lam: Sequence[int], family: TreeFamily
-) -> EmpiricalMoment:
-    """Sample mean and standard error of the normalized joint moment."""
-    vals = np.array([tree_moment(t, lam, family) for t in samples])
-    if len(vals) < 2:
-        raise ValueError("need at least 2 samples for a standard error")
-    return EmpiricalMoment(
-        float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(len(vals)))
-    )
 
 
 def sample_dyck_path(n: int, seed: SeedLike) -> np.ndarray:

@@ -9,6 +9,7 @@ the series machinery is tested against.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -111,21 +112,10 @@ class Profile:
     def support(self) -> tuple[int, int]:
         return self.offset, self.offset + len(self.counts) - 1
 
-    def value_at(self, j: int) -> int:
-        i = j - self.offset
-        if 0 <= i < len(self.counts):
-            return int(self.counts[i])
-        return 0
-
 
 def vertical_profile(tree: LabelledTree) -> Profile:
     """Node counts by vertical label."""
     return Profile.from_values(tree.label)
-
-
-def horizontal_profile(tree: LabelledTree) -> Profile:
-    """Node counts by depth."""
-    return Profile.from_values(tree.depth)
 
 
 # Binary shapes are nested pairs: a node is (left, right) with None for a
@@ -153,6 +143,19 @@ def _plane_shapes(n: int) -> tuple:
             for rest in _plane_shapes(n - i):
                 out.append((first,) + rest)
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _plane_classes(n: int) -> tuple[tuple, tuple[int, ...]]:
+    """Plane shapes with n edges up to reordering children: one plane shape
+    per class (its canonical form, every node's children sorted) and the
+    number of plane shapes in each class, counted over _plane_shapes(n)."""
+
+    def canon(shape) -> tuple:
+        return tuple(sorted(canon(child) for child in shape))
+
+    mult = Counter(canon(shape) for shape in _plane_shapes(n))
+    return tuple(mult), tuple(mult.values())
 
 
 def _binary_tree_arrays(shape, full: bool) -> tuple[np.ndarray, ...]:
@@ -293,13 +296,14 @@ def _assignment_matrix(incs: tuple[int, ...], n: int) -> np.ndarray:
 
 
 def _plane_root_paths(n: int) -> np.ndarray:
-    """Root-path matrix of every plane shape with n edges, node-major.
+    """Root-path matrix of one plane shape per unordered class with n edges
+    (the classes of _plane_classes), node-major.
 
     anc[v, s, e] is 1 when edge e (the edge above preorder node e + 1) lies
-    on the root path of node v in shape s, so node labels are anc . a for
+    on the root path of node v in class s, so node labels are anc . a for
     an increment assignment a.
     """
-    shapes = _plane_shapes(n)
+    shapes = _plane_classes(n)[0]
     parents = np.array([_plane_parent_arrays(shape)[0] for shape in shapes])
     rows = np.arange(len(shapes))
     anc = np.zeros((n + 1, len(shapes), n))
@@ -320,13 +324,17 @@ def oracle_power_product_totals(
     """Total of prod_i(sum_v label^lam_i) over all labelled objects of size n.
 
     Returns (totals by partition, object count).  Exact integers; computed
-    by direct enumeration.  The plane families run in blocks of shapes: one
-    float64 matmul of the block's root-path rows against every increment
-    assignment gives their labels, and power sums over node rows give one
-    value per object, exact while (n + 1) * n^max_power < 2^53 (larger
-    powers raise ValueError).  Each partition's total is then a dot product
-    of its last power sum with the product of the others, in int64 or, when
-    a bound says int64 could overflow, in Python ints.
+    by direct enumeration.  Edge increments are i.i.d., so reordering a
+    node's children only permutes the labelled objects of a size: the plane
+    families enumerate every labelled object of one shape per unordered
+    class and weight it by the class's counted multiplicity.  They run in
+    blocks of classes: one float64 matmul of the block's root-path rows
+    against every increment assignment gives their labels, and power sums
+    over node rows give one value per object, exact while
+    (n + 1) * n^max_power < 2^53 (larger powers raise ValueError).  Each
+    partition's total is then a dot product of its last power sum with the
+    weighted product of the others, in int64 or, when a bound says int64
+    could overflow, in Python ints.
     """
     max_power = max((max(lam) for lam in partitions if lam), default=0)
     totals = {lam: 0 for lam in partitions}
@@ -351,39 +359,43 @@ def oracle_power_product_totals(
     assign_t = _assignment_matrix(family.increments, n).T.astype(np.float64)
     n_assign = assign_t.shape[1]
     anc = _plane_root_paths(n)
-    n_shapes = anc.shape[1]
+    mult = np.array(_plane_classes(n)[1], dtype=np.int64)
     step = max(1, _ORACLE_BLOCK // ((n + 1) * n_assign))
-    for s0 in range(0, n_shapes, step):
+    for s0 in range(0, len(mult), step):
         block = anc[:, s0 : s0 + step]
         rows = (n + 1) * block.shape[1]
         labels = (block.reshape(rows, n) @ assign_t).reshape(n + 1, -1)
-        width = labels.shape[1]
-        powers = [np.full(width, n + 1, dtype=np.int64)]
+        # Per-block weights: one vector over all objects would cost memory.
+        weight = np.repeat(mult[s0 : s0 + step], n_assign)
+        block_count = int(weight.sum())
+        powers = [np.full(labels.shape[1], n + 1, dtype=np.int64)]
         acc = labels.copy()
         for k in range(1, max_power + 1):
             powers.append(acc.sum(axis=0).astype(np.int64))
             if k < max_power:
                 acc *= labels
-        # Products of all but the last power sum, shared between equal prefixes.
+        # Weighted products of all but the last power sum, each chain started
+        # from the weights and shared between equal prefixes.
         heads: dict = {}
         for lam in partitions:
             if not lam:
-                totals[lam] += width
+                totals[lam] += block_count
                 continue
             # Product of power sums can exceed int64 for heavy partitions;
             # bound it and switch to Python-int elements when needed.
-            bound = (n + 1) ** len(lam) * n ** sum(lam) * width
+            bound = (n + 1) ** len(lam) * n ** sum(lam) * block_count
             dtype = np.int64 if bound < 2**62 else object
-            head = None
-            for i in range(1, len(lam)):
+            for i in range(len(lam)):
                 key = (lam[:i], dtype)
                 if key not in heads:
-                    factor = powers[lam[i - 1]].astype(dtype, copy=False)
-                    heads[key] = factor if head is None else head * factor
+                    heads[key] = (
+                        weight.astype(dtype, copy=False)
+                        if i == 0
+                        else head * powers[lam[i - 1]].astype(dtype, copy=False)
+                    )
                 head = heads[key]
-            last = powers[lam[-1]].astype(dtype, copy=False)
-            totals[lam] += int(last.sum() if head is None else head @ last)
-        count += width
+            totals[lam] += int(head @ powers[lam[-1]].astype(dtype, copy=False))
+        count += block_count
     return totals, count
 
 

@@ -8,7 +8,8 @@ pytest run, and asserts the verdict.
 
 import pytest
 
-from iselab import verify
+from iselab import trees, verify
+from iselab.families import FAMILIES
 
 
 @pytest.fixture
@@ -28,6 +29,16 @@ def check(capsys):
 
 def test_criterion_01_exact_oracle_agreement(check):
     check(verify.criterion_1())
+
+
+def test_criterion_01_scope():
+    # A faster oracle must still cover every object of every family at
+    # n <= 8, and criterion 1 must still check all of its cells.
+    assert verify.criterion_1().detail == "660 cells match exactly"
+    cells = [(fam, n) for fam in FAMILIES.values() for n in fam.sizes_upto(8)]
+    counts = [trees.oracle_power_product_totals(fam, n, [()])[1] for fam, n in cells]
+    want = [fam.count(n) for fam, n in cells]
+    assert counts == want  # so their sums agree as well
 
 
 def test_criterion_02_constant_recurrences(check):

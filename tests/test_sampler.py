@@ -6,18 +6,15 @@ import numpy as np
 import pytest
 
 from iselab.families import BINARY, COMPLETE_BINARY, PLANE_0PM1, PLANE_PM1
-from iselab.genfun import exact_moment
 from iselab.sampler import (
     SeedSpec,
     dyck_moment,
     empirical_dyck_moment,
-    empirical_moment,
     rescaled_density,
     sample_binary,
     sample_dyck_path,
     sample_plane,
     sample_tree,
-    tree_moment,
 )
 from iselab.trees import LabelledTree, vertical_profile
 
@@ -276,25 +273,6 @@ class TestDensityAndMoments:
         t = sample_binary(64, SeedSpec(1))
         assert rescaled_density(vertical_profile(t), BINARY, 50.0) == 0.0
 
-    def test_tree_moment_matches_exact_at_tiny_size(self):
-        # Size-2 binary trees all share sum label^2 = 1, so the sampled
-        # normalized moment is deterministic and equals the exact one.
-        t = sample_binary(2, SeedSpec(9))
-        want = exact_moment(BINARY, (2,), 2).normalized
-        assert tree_moment(t, (2,), BINARY) == pytest.approx(want, rel=1e-14)
-
-    def test_empirical_moment_near_exact(self):
-        n = 8
-        trees = [sample_tree(BINARY, n, SeedSpec(100, i)) for i in range(600)]
-        est = empirical_moment(trees, (2,), BINARY)
-        want = exact_moment(BINARY, (2,), n).normalized
-        assert est.stderr > 0
-        assert abs(est.mean - want) <= 4 * est.stderr
-
-    def test_empirical_moment_needs_two(self):
-        with pytest.raises(ValueError, match="2 samples"):
-            empirical_moment([sample_binary(4, SeedSpec(0))], (2,), BINARY)
-
 
 class TestDyckPaths:
     def test_path_shape(self):
@@ -323,3 +301,7 @@ class TestDyckPaths:
         b = empirical_dyck_moment(128, (1,), 50, SeedSpec(33))
         assert a == b
         assert a.stderr > 0
+
+    def test_empirical_dyck_moment_needs_two(self):
+        with pytest.raises(ValueError, match="2 samples"):
+            empirical_dyck_moment(8, (1,), 1, SeedSpec(0))

@@ -1,5 +1,6 @@
 """Tree encoding, profiles, exhaustive enumeration, and the brute oracle."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,6 @@ from iselab.trees import (
     LabelledTree,
     Profile,
     enumerate_trees,
-    horizontal_profile,
     oracle_moment,
     oracle_power_product_totals,
     shape_key,
@@ -121,20 +121,10 @@ class TestProfiles:
         assert p.total == 5
         assert p.support == (-1, 2)
 
-    def test_value_at_outside_support(self):
-        p = Profile.from_values(np.array([0, 1]))
-        assert p.value_at(0) == 1
-        assert p.value_at(1) == 1
-        assert p.value_at(2) == 0
-        assert p.value_at(-5) == 0
-
     def test_vertical_and_horizontal(self):
         v = vertical_profile(CHAIN)
         assert v.offset == 0
         assert list(v.counts) == [2, 1]
-        h = horizontal_profile(CHAIN)
-        assert h.offset == 0
-        assert list(h.counts) == [1, 1, 1]
 
 
 class TestEnumeration:
@@ -202,6 +192,35 @@ class TestShapeKey:
         assert shape_key(a) != shape_key(b)
 
 
+class TestPlaneClasses:
+    # Rooted unordered trees on n + 1 nodes (OEIS A000081).
+    @pytest.mark.parametrize(
+        "n, classes", list(enumerate([1, 1, 2, 4, 9, 20, 48, 115, 286]))
+    )
+    def test_class_counts(self, n, classes):
+        shapes, mult = trees._plane_classes(n)
+        assert len(shapes) == len(mult) == classes
+        assert sum(mult) == len(trees._plane_shapes(n)) == math.comb(2 * n, n) // (n + 1)
+
+    def test_largest_multiplicity_at_eight(self):
+        assert max(trees._plane_classes(8)[1]) == 24
+
+
+def _per_object_totals(family, n, lams):
+    """(totals by partition, object count) by a Python loop over every object."""
+    want = {lam: 0 for lam in lams}
+    seen = 0
+    for t in enumerate_trees(family, n):
+        seen += 1
+        labels = [int(x) for x in t.label]
+        for lam in lams:
+            term = 1
+            for part in lam:
+                term *= sum(x**part for x in labels)
+            want[lam] += term
+    return want, seen
+
+
 class TestOracle:
     def test_binary_quadratic(self):
         assert oracle_moment(BINARY, (2,), 2) == 1
@@ -237,27 +256,26 @@ class TestOracle:
     @pytest.mark.parametrize("family", [PLANE_PM1, PLANE_0PM1])
     @pytest.mark.parametrize("block", [None, 500])
     def test_plane_blocks_match_per_object_loop(self, family, block, monkeypatch):
-        # At n <= 5 the default block holds every shape; 500 label entries
-        # give blocks of one to six shapes at n = 4 and 5 and a shorter last
-        # block where the shape count does not divide (14 = 6 + 6 + 2).
+        # At n <= 5 the default block holds every class; 500 label entries
+        # give blocks of one to six classes at n = 4 and 5, and plane_pm1 at
+        # n = 4 ends on a shorter block (9 classes = 6 + 3).
         if block is not None:
             monkeypatch.setattr(trees, "_ORACLE_BLOCK", block)
         # (10, 10, 10) overflows the int64 bound and takes the Python-int path.
         lams = [(), (1,), (2, 2), (1, 1, 4), (10, 10, 10)]
         for n in range(6):
             totals, count = oracle_power_product_totals(family, n, lams)
-            want = {lam: 0 for lam in lams}
-            seen = 0
-            for t in enumerate_trees(family, n):
-                seen += 1
-                labels = [int(x) for x in t.label]
-                for lam in lams:
-                    term = 1
-                    for part in lam:
-                        term *= sum(x**part for x in labels)
-                    want[lam] += term
+            want, seen = _per_object_totals(family, n, lams)
             assert count == seen == family.count(n)
             assert totals == want
+
+    def test_plane_pm1_matches_per_object_loop_at_six(self):
+        # 132 shapes in 48 classes with multiplicities up to 6: 8448 objects.
+        lams = [(), (1,), (2, 2), (1, 1, 4)]
+        totals, count = oracle_power_product_totals(PLANE_PM1, 6, lams)
+        want, seen = _per_object_totals(PLANE_PM1, 6, lams)
+        assert count == seen == 8448
+        assert totals == want
 
     def test_plane_power_sums_exact_up_to_float_range(self):
         # 5 * 4^25 < 2^53 <= 5 * 4^26: the largest power accepted at n = 4.
