@@ -1,5 +1,5 @@
 """Generating-function engine: factorial-sum series, exact finite-size
-moments, and profile-correlation series for the four tree families.
+moments, and label pair correlations for the four tree families.
 
 The core recursion computes, for an extended partition lam, the series
 whose t^idx coefficient is the total over all labelled objects of index
@@ -21,6 +21,11 @@ its t^n coefficient is a sum of binomials C(k/2, n + m), summed in
 rationals or float64 at any n.  Truncated integer PowerSeries remain for
 partial_F, horizontal_partial_F and power_product_series, the
 independent reference the closed form is tested against.
+
+The pair correlation at one series index, a Laurent polynomial in x, comes
+from each family's closed form as a sum of s^m A(t) / (1 - s h(t))^e with
+s = x + 1/x: one univariate integer series product per power of h, then
+a binomial expansion of the powers of s.
 """
 
 from __future__ import annotations
@@ -29,7 +34,8 @@ import itertools
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm, pi, sqrt
+from math import comb, factorial, isfinite, lcm, pi, sqrt
+from operator import mul
 from typing import NamedTuple, Sequence, Union
 
 from .families import (
@@ -50,14 +56,12 @@ from .partitions import (
     sub_multisets,
     weight,
 )
-from .series import BivariateSeries, LaurentPoly, PowerSeries, sqrt_one_minus
+from .series import LaurentPoly, PowerSeries, sqrt_one_minus
 
-# The exact bivariate profile series carries a Laurent polynomial per
-# coefficient and already takes seconds at order 120, so it is capped.
+# Cap on the series index of pair_correlation_coeff.  Its work grows like
+# the cube of the index: a cold call took 5-7 ms at index 60, 35-65 ms at
+# 120, 0.3-0.45 s at 240 and 4.5-9 s at 512 (2 vCPUs, CPython 3.11).
 PROFILE_MAX_EXACT_ORDER = 512
-
-# x + 1/x, the symbolic stand-in for 2*cos(u).
-_S_POLY = LaurentPoly([1, 0, 1], lo=-1)
 
 
 class ExactMoment(NamedTuple):
@@ -445,100 +449,94 @@ def _catalan_series(order: int, scale: int = 1) -> PowerSeries:
     )
 
 
-def _profile_binary(order: int) -> BivariateSeries:
+# Each family's pair-correlation series is sum_terms s^m A(t) / (1 - s h(t))^e
+# with s = x + 1/x (2cos(u) on the unit circle) and e in {0, 1, 2}.  A
+# builder returns (h, [(m, e, A), ...]) as integer series at the given order.
+
+def _pair_binary(order: int) -> tuple[PowerSeries, list]:
     one = PowerSeries.one(order)
-    s = _S_POLY
     b = _catalan_series(order)
     f0 = one + b
     num = b * f0 * (one + 2 * b - b * b) / (one - b)
-    den1 = BivariateSeries.from_power_series(f0) - (
-        BivariateSeries.from_power_series(b) * s
-    )
-    return BivariateSeries.from_power_series(num) / (den1 * den1)
+    return b / f0, [(0, 2, num / (f0 * f0))]
 
 
-def _profile_plane_pm1(order: int) -> BivariateSeries:
+def _pair_complete(order: int) -> tuple[PowerSeries, list]:
+    # Complete-tree transform is 1 + 2cos(u) * (binary transform), so the
+    # pair series is f0 + 2s f1 + s^2 (binary pair series), with the binary
+    # one-point series f1 = b / (1 - s h).
+    h, [(_, e, a)] = _pair_binary(order)
+    b = _catalan_series(order)
+    return h, [(0, 0, PowerSeries.one(order) + b), (1, 1, 2 * b), (2, e, a)]
+
+
+def _pair_plane_pm1(order: int) -> tuple[PowerSeries, list]:
+    # (1 + T)(1 + h^2 s^2) / ((1 - T)(1 - s h)^2) with T = B(2t), h = T/2.
     one = PowerSeries.one(order)
-    s = _S_POLY
     t_ser = _catalan_series(order, 2)
-    ft = one + t_ser
-    num = BivariateSeries.from_power_series(ft) + (
-        BivariateSeries.from_power_series(ft * t_ser * t_ser)
-        * (s * s * Fraction(1, 4))
-    )
-    half = BivariateSeries.from_power_series(one) - (
-        BivariateSeries.from_power_series(t_ser) * (s * Fraction(1, 2))
-    )
-    den = BivariateSeries.from_power_series(one - t_ser) * half * half
-    return num / den
+    h = PowerSeries([c // 2 for c in t_ser.coeffs])  # exact: Catalan(n) 2^n, n >= 1
+    a = (one + t_ser) / (one - t_ser)
+    return h, [(0, 2, a), (2, 2, a * h * h)]
 
 
-def _profile_plane_0pm1(order: int) -> BivariateSeries:
+def _pair_plane_0pm1(order: int) -> tuple[PowerSeries, list]:
+    # (1 + T)(1 + T'^2 (1 + s)^2) / ((1 - T)(1 - T' - s T')^2) with T = B(3t),
+    # T' = T/3, and h = T'/(1 - T').
     one = PowerSeries.one(order)
     t_ser = _catalan_series(order, 3)
-    ft = one + t_ser
-    one_plus_s = LaurentPoly([1, 1, 1], lo=-1)
-    num = BivariateSeries.from_power_series(ft * 9) + (
-        BivariateSeries.from_power_series(ft * t_ser * t_ser)
-        * (one_plus_s * one_plus_s)
-    )
-    lin = BivariateSeries.from_laurent(LaurentPoly.const(3), order) - (
-        BivariateSeries.from_power_series(t_ser) * one_plus_s
-    )
-    den = BivariateSeries.from_power_series(one - t_ser) * lin * lin
-    return num / den
+    third = PowerSeries([c // 3 for c in t_ser.coeffs])  # exact: Catalan(n) 3^n, n >= 1
+    rest = one - third
+    a = (one + t_ser) / ((one - t_ser) * rest * rest)
+    a2 = a * third * third
+    return third / rest, [(0, 2, a + a2), (1, 2, 2 * a2), (2, 2, a2)]
 
 
-def _profile_complete(order: int) -> BivariateSeries:
-    # Complete-tree transform is 1 + 2cos(u) * (binary transform), so the
-    # pair series assembles from the binary one-point and two-point series
-    # with s = 2cos(u).
-    one = PowerSeries.one(order)
-    s = _S_POLY
-    pb = profile_correlation_series(BINARY, order)
-    b = _catalan_series(order)
-    f0 = one + b
-    den_f1 = BivariateSeries.from_power_series(f0) - (
-        BivariateSeries.from_power_series(b) * s
-    )
-    f1 = BivariateSeries.from_power_series(b * f0) / den_f1
-    return BivariateSeries.from_power_series(f0) + f1 * (s * 2) + pb * (s * s)
-
-
-# Closed forms of the pair-correlation series, by family.
-_PROFILE_BUILDERS = {
-    BINARY: _profile_binary,
-    COMPLETE_BINARY: _profile_complete,
-    PLANE_PM1: _profile_plane_pm1,
-    PLANE_0PM1: _profile_plane_0pm1,
+_PAIR_BUILDERS = {
+    BINARY: _pair_binary,
+    COMPLETE_BINARY: _pair_complete,
+    PLANE_PM1: _pair_plane_pm1,
+    PLANE_0PM1: _pair_plane_0pm1,
 }
 
-_PROFILE_CACHE: dict[TreeFamily, BivariateSeries] = {}
 
+@lru_cache(maxsize=64)
+def pair_correlation_coeff(family: TreeFamily, idx: int) -> LaurentPoly:
+    """Exact pair correlation of vertical labels at one series index.
 
-def profile_correlation_series(family: TreeFamily, order: int) -> BivariateSeries:
-    """Exact pair-correlation series of vertical labels.
-
-    The t^idx coefficient is the Laurent polynomial summing
-    x^(label(v) - label(w)) over all node pairs of all objects at idx.
+    The Laurent polynomial summing x^(label(v) - label(w)) over all node
+    pairs of all objects at index idx, with integer coefficients.
     """
-    if order < 0:
-        raise ValueError("truncation order must be non-negative")
-    if order > PROFILE_MAX_EXACT_ORDER:
+    if idx < 0:
+        raise ValueError("series index must be non-negative")
+    if idx > PROFILE_MAX_EXACT_ORDER:
         raise ValueError(
-            f"exact truncation order {order} exceeds "
+            f"exact truncation order {idx} exceeds "
             f"PROFILE_MAX_EXACT_ORDER={PROFILE_MAX_EXACT_ORDER}"
         )
-    cached = _PROFILE_CACHE.get(family)
-    if cached is None or cached.order < order:
-        build = _PROFILE_BUILDERS.get(family)
-        if build is None:
-            raise ValueError(f"no profile-correlation series for {family.name}")
-        cached = build(order)
-        _PROFILE_CACHE[family] = cached
-    if cached.order == order:
-        return cached
-    return BivariateSeries(cached.coeffs[: order + 1], order=order)
+    build = _PAIR_BUILDERS.get(family)
+    if build is None:
+        raise ValueError(f"no profile-correlation series for {family.name}")
+    h, terms = build(idx + 1)
+    # [t^idx] s^m A / (1 - s h)^e = sum_k C(k+e-1, e-1) s^(k+m) [t^idx] A h^k,
+    # and h = t g, so [t^idx] A h^k = [t^(idx-k)] A g^k.
+    g = PowerSeries(h.coeffs[1:], order=idx)
+    s_coeffs = [0] * (idx + 3)
+    g_pow = PowerSeries.one(idx)
+    for k in range(idx + 1):
+        if k:
+            g_pow = g_pow.truncate(idx - k) * g
+        for m, e, a in terms:
+            if e or not k:
+                c = sum(map(mul, a.coeffs[idx - k :: -1], g_pow.coeffs))
+                s_coeffs[k + m] += comb(k + e - 1, e - 1) * c if e else c
+    # s^p = sum_j C(p, j) x^(p - 2j)
+    top = len(s_coeffs) - 1
+    x_coeffs = [0] * (2 * top + 1)
+    for p, c in enumerate(s_coeffs):
+        if c:
+            for j in range(p + 1):
+                x_coeffs[top + p - 2 * j] += comb(p, j) * c
+    return LaurentPoly(x_coeffs, lo=-top)
 
 
 def fourier_second_moment(family: TreeFamily, n: int, u: float) -> float:
@@ -546,8 +544,9 @@ def fourier_second_moment(family: TreeFamily, n: int, u: float) -> float:
 
     Equals P_idx(e^(iu)) / count(n); exactly nodes^2 at u = 0.
     """
-    idx = family.series_index(n)
-    poly = profile_correlation_series(family, idx).coeff(idx)
+    if not isfinite(u):
+        raise ValueError(f"angle u must be finite, got {u}")
+    poly = pair_correlation_coeff(family, family.series_index(n))
     val = poly.eval_unit_circle(u)
     scale = max(1.0, abs(val.real))
     if abs(val.imag) > 1e-8 * scale:

@@ -5,10 +5,11 @@ computations.  Its coefficients stay Python ints as long as the inputs
 are ints and every division is by a series with constant term +-1; a
 Fraction appears only when a caller passes one in or a division really
 needs it.  Products and quotients take one C-level dot product per output
-coefficient.  FloatSeries is its float64 twin with the same truncation
-semantics.  LaurentPoly and BivariateSeries add the label variable x for
-the profile-correlation series; LaurentPoly also holds the polynomials in
-Z of the closed-form moment engine.
+coefficient.  LaurentPoly carries the label variable x of the pair
+correlations and the polynomials in Z of the closed-form moment engine.
+FloatSeries, a float64 twin of PowerSeries with the same truncation
+semantics, and BivariateSeries, a series in t of LaurentPoly values, have
+no caller in the package: they remain as test and benchmark references.
 
 All values are immutable after construction and every operation is a pure
 function, so values are safe to share across threads.
@@ -422,10 +423,6 @@ class BivariateSeries:
     @classmethod
     def from_power_series(cls, s: PowerSeries) -> "BivariateSeries":
         return cls([LaurentPoly.const(c) for c in s.coeffs], order=s.order)
-
-    @classmethod
-    def from_laurent(cls, p: LaurentPoly, order: int) -> "BivariateSeries":
-        return cls([p], order=order)
 
     def coeff(self, n: int) -> LaurentPoly:
         if not 0 <= n <= self.order:

@@ -289,7 +289,7 @@ def criterion_9() -> CriterionResult:
     t0 = time.perf_counter()
     grid = np.linspace(0.0, 3.0, 200)
     maxima = {}
-    for n in (10, 20, 40, 60):
+    for n in (10, 20, 40, 60, 120, 240):
         maxima[n] = max(genfun.lemma_L3_ratio(BINARY, n, float(u)) for u in grid)
     bound = 1.5 * maxima[10]
     passed = all(m <= bound for m in maxima.values())

@@ -206,6 +206,24 @@ class TestNumericCommands:
         assert header == ["n", "max_ratio", "u_at_max"]
         assert float(rows[0][1]) >= 1.0
 
+    def test_fourier_bound_readme_rows(self, capsys):
+        # The README example's data rows, from the exact pair correlations;
+        # a float path would change these digits and must re-pin them.
+        rc, out, _ = run_cli(capsys, ["fourier-bound", "--family", "binary", "--n", "10,20,40"])
+        assert rc == 0
+        assert out.splitlines()[-3:] == [
+            "10,12.429620862707637,3",
+            "20,11.328580099694484,3",
+            "40,10.776194695886796,3",
+        ]
+
+    def test_fourier_bound_refuses_non_finite_angle(self, capsys):
+        argv = ["fourier-bound", "--family", "binary", "--n", "10", "--grid", "0:nan:3"]
+        rc, out, err = run_cli(capsys, argv)
+        assert rc == 2
+        assert "finite" in err
+        assert out == ""
+
 
 class TestMonteCarloCommands:
     def test_profile_rejects_bad_requests(self, capsys):

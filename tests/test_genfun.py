@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from iselab import genfun
@@ -15,9 +16,9 @@ from iselab.genfun import (
     fourier_second_moment,
     horizontal_partial_F,
     lemma_L3_ratio,
+    pair_correlation_coeff,
     partial_F,
     power_product_series,
-    profile_correlation_series,
 )
 from iselab.grandmoments import c_lambda, d_lambda
 from iselab.numerics import ToleranceError
@@ -80,6 +81,15 @@ CASES = [
 ]
 
 
+# Every valid size up to the largest each family enumerates quickly.
+PAIR_CASES = [
+    (BINARY, BINARY.sizes_upto(7)),
+    (PLANE_PM1, PLANE_PM1.sizes_upto(5)),
+    (PLANE_0PM1, PLANE_0PM1.sizes_upto(4)),
+    (COMPLETE_BINARY, COMPLETE_BINARY.sizes_upto(9)),
+]
+
+
 class TestOracleAgreement:
     @pytest.mark.parametrize("family,sizes", CASES)
     def test_power_product_totals(self, family, sizes):
@@ -109,17 +119,18 @@ class TestOracleAgreement:
                 total += term
             assert series.coeff(n) == total
 
-    @pytest.mark.parametrize("family,sizes", CASES)
+    @pytest.mark.parametrize("family,sizes", PAIR_CASES)
     def test_pair_correlation_polynomial(self, family, sizes):
         for n in sizes:
-            idx = family.series_index(n)
-            got = profile_correlation_series(family, idx).coeff(idx)
-            want = LaurentPoly.zero()
+            nodes = family.node_count(n)
+            # total[nodes + d] counts ordered node pairs with label gap d.
+            total = np.zeros(2 * nodes + 1, dtype=np.int64)
             for tree in enumerate_trees(family, n):
-                for lv in tree.label:
-                    for lw in tree.label:
-                        want = want + LaurentPoly.x_power(int(lv) - int(lw))
-            assert got == want
+                hist = np.bincount(tree.label - tree.label.min())
+                span = len(hist) - 1
+                total[nodes - span : nodes + span + 1] += np.correlate(hist, hist, "full")
+            want = LaurentPoly(total.tolist(), lo=-nodes)
+            assert pair_correlation_coeff(family, family.series_index(n)) == want
 
 
 class TestMoments:
@@ -193,9 +204,9 @@ class TestFourier:
     def test_profile_series_stays_in_integers(
         self, family, at_zero, at_three, at_minus_seven
     ):
-        series = profile_correlation_series(family, 30)
-        assert all(type(c) is int for poly in series.coeffs for c in poly.coeffs)
-        top = series.coeff(30)
+        for idx in range(31):
+            assert all(type(c) is int for c in pair_correlation_coeff(family, idx).coeffs)
+        top = pair_correlation_coeff(family, 30)
         assert (top.coeff(0), top.coeff(3), top.coeff(-7)) == (
             at_zero,
             at_three,
@@ -204,6 +215,49 @@ class TestFourier:
         n = next(n for n in range(62) if family.valid_size(n) and family.series_index(n) == 30)
         assert sum(top.coeffs) == family.count(n) * family.node_count(n) ** 2
 
+    @pytest.mark.parametrize("family", list(FAMILIES.values()), ids=lambda f: f.name)
+    def test_index_60_integer_symmetric_total(self, family):
+        poly = pair_correlation_coeff(family, 60)
+        assert all(type(c) is int for c in poly.coeffs)
+        assert poly.lo == -poly.hi
+        assert all(poly.coeff(j) == poly.coeff(-j) for j in range(poly.hi + 1))
+        n = next(n for n in range(200) if family.valid_size(n) and family.series_index(n) == 60)
+        assert sum(poly.coeffs) == family.count(n) * family.node_count(n) ** 2
+
+    @pytest.mark.parametrize(
+        "family,at_zero,at_three,at_minus_seven",
+        [
+            (
+                BINARY,
+                766889804222974741853944207687012800,
+                419805081937035599683822392085697408,
+                76088399494060652879891394550727698,
+            ),
+            (
+                PLANE_0PM1,
+                53294626026493421637464232783988991694943702026319571122957716336,
+                15094940168802651984724642959374798153281707678226281723783372480,
+                441095575835693501180581710879605355358189790786032747961285040,
+            ),
+        ],
+        ids=["binary", "plane_0pm1"],
+    )
+    def test_index_60_pins(self, family, at_zero, at_three, at_minus_seven):
+        # Values of the exact bivariate-division builders this replaced.
+        poly = pair_correlation_coeff(family, 60)
+        assert (poly.coeff(0), poly.coeff(3), poly.coeff(-7)) == (
+            at_zero,
+            at_three,
+            at_minus_seven,
+        )
+
+    @pytest.mark.parametrize("u", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_refused(self, u):
+        with pytest.raises(ValueError, match="finite"):
+            fourier_second_moment(BINARY, 10, u)
+        with pytest.raises(ValueError, match="finite"):
+            lemma_L3_ratio(PLANE_PM1, 4, u)
+
     def test_max_order_guard(self):
         with pytest.raises(ValueError, match="PROFILE_MAX_EXACT_ORDER"):
             fourier_second_moment(BINARY, PROFILE_MAX_EXACT_ORDER + 1, 0.5)
@@ -211,7 +265,9 @@ class TestFourier:
     def test_profile_order_guard_below_engine_cap(self):
         assert PROFILE_MAX_EXACT_ORDER == 512
         with pytest.raises(ValueError, match="PROFILE_MAX_EXACT_ORDER=512"):
-            profile_correlation_series(BINARY, PROFILE_MAX_EXACT_ORDER + 1)
+            pair_correlation_coeff(BINARY, PROFILE_MAX_EXACT_ORDER + 1)
+        with pytest.raises(ValueError, match="non-negative"):
+            pair_correlation_coeff(BINARY, -1)
 
 
 def _valid_size(family, n):
