@@ -3,8 +3,8 @@
 Binary trees are drawn by growing a uniform full binary tree one leaf at
 a time and reading off its internal nodes; plane trees come from uniform
 Dyck paths built with the cycle lemma.  Both are exactly uniform and are
-built from array operations in O(n log n) time: a sort of the draws and
-log2(n) rounds of pointer doubling, with no Python loop over nodes.
+built from array operations with no Python loop over nodes: one sort of
+the draws and pointer doubling that stops at the height or longest chain.
 Seeding is counter-based (Philox), so distinct stream ids give provably
 non-overlapping streams.
 """
@@ -65,8 +65,8 @@ def sample_binary(n: int, seed: SeedLike) -> LabelledTree:
     the final tree is read off the picks in array operations, and the
     internal nodes keep their step order as ids.
     """
-    if n < 1:
-        raise ValueError("binary trees need at least one node")
+    if not 1 <= n <= 2**31:
+        raise ValueError("binary trees need between 1 and 2^31 nodes")
     rng = _rng(seed)
     picks = rng.integers(0, np.arange(1, 2 * n, 2))
     sides = rng.integers(0, 2, size=n)
@@ -74,11 +74,18 @@ def sample_binary(n: int, seed: SeedLike) -> LabelledTree:
     # Each slot ends up holding the end of a chain: when its occupant x is
     # first picked, the node made at that step takes x's slot.  ptr[x] is
     # that node, or x if x is never picked; top[x] is the end of x's chain.
-    order = picks.argsort(kind="stable")
-    by_node = picks[order]
+    # One sort of (pick, step) packed in an int64 orders steps stably.
+    shift = max(n - 1, 1).bit_length()
+    steps = np.arange(n)
+    picks <<= shift
+    picks |= steps
+    picks.sort()
+    order = picks & ((1 << shift) - 1)
+    by_node = picks >> shift
     made = 2 * order + 1
     again = by_node[1:] == by_node[:-1]
-    first = np.ones(n, dtype=bool)
+    first = np.empty(n, dtype=bool)
+    first[0] = True
     first[1:] = ~again
     ptr = np.arange(2 * n + 1)
     ptr[by_node[first]] = made[first]
@@ -87,46 +94,51 @@ def sample_binary(n: int, seed: SeedLike) -> LabelledTree:
     # Under the node made at step k, the picked node's slot passes to the
     # node made at the next step that picks the same node, if any; the new
     # leaf's slot starts with that leaf.  sides[k] puts the picked node left.
-    picked_child = by_node.copy()
+    picked_child = by_node
     picked_child[:-1][again] = top[made[1:][again]]
     leaf_child = top[2::2]
     full_parent = np.empty(2 * n + 1, dtype=np.int64)
     full_role = np.empty(2 * n + 1, dtype=np.int64)
     full_parent[picked_child] = order
     full_role[picked_child] = 1 - sides[order]
-    full_parent[leaf_child] = np.arange(n)
+    full_parent[leaf_child] = steps
     full_role[leaf_child] = sides
-    full_parent[top[0]] = -1
-    full_role[top[0]] = 0
+    end = top[0]
+    full_parent[end] = root = end >> 1
+    full_role[end] = 0
     parent = full_parent[1::2]
     role = full_role[1::2]
 
     # One root-path sum carries the depth in the high bits and the number
-    # of right turns in the low bits; label = rights - lefts.
-    root = top[0] >> 1
-    hop = parent.copy()
-    hop[root] = root
+    # of right turns in the low bits; label = rights - lefts.  The root is
+    # its own parent until the climb is done.
     packed = (1 << 32) + role
     packed[root] = 0
-    _, total = _climb(hop, packed)
+    _, total = _climb(parent, packed)
+    parent[root] = -1
     depth = total >> 32
     label = 2 * (total & 0xFFFFFFFF) - depth
     return LabelledTree(BINARY, parent, role, label, depth)
 
 
 def _climb(
-    hop: np.ndarray, acc: np.ndarray | None = None
+    hop: np.ndarray, acc: np.ndarray | None = None, height: int | None = None
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Ends of the pointer chains of hop and sums of acc along them.
 
     hop[v] is the next node up from v, or v itself at the end of a chain,
-    where acc must be 0.  A chain through m nodes has at most m - 1 hops,
-    and round r of pointer doubling covers 2^r of them.
+    where acc must be 0.  Round r of pointer doubling covers 2^r hops, so
+    chains of at most height hops need height.bit_length() rounds.  With
+    no height, the rounds stop once every hop is a chain end.
     """
-    for _ in range((len(hop) - 2).bit_length()):
+    for r in range((len(hop) - 2 if height is None else height).bit_length()):
+        up = hop[hop]
+        # The check costs more than a round on tiny trees.
+        if height is None and r > 2 and np.array_equal(up, hop):
+            break
         if acc is not None:
             acc = acc + acc[hop]
-        hop = hop[hop]
+        hop = up
     return hop, acc
 
 
@@ -166,19 +178,18 @@ def sample_plane(n: int, family: TreeFamily, seed: SeedLike) -> LabelledTree:
     keys.sort()
     ids = keys % (n + 1)
     up = keys.searchsorted(keys[1:] - (n + 1)) - 1
-    parent = np.empty(n + 1, dtype=np.int64)
-    parent[0] = -1
+    parent = np.zeros(n + 1, dtype=np.int64)
     parent[ids[1:]] = ids[up]
     role = np.zeros(n + 1, dtype=np.int64)
     role[ids[1:]] = np.arange(n) - up.searchsorted(up)
 
     choices = np.array(family.increments)
     incs = choices[rng.integers(0, len(choices), size=n)]
-    hop = parent.copy()
-    hop[0] = 0
     acc = np.zeros(n + 1, dtype=np.int64)
     acc[1:] = incs
-    _, label = _climb(hop, acc)
+    # The root is its own parent until the climb, bounded by the height.
+    _, label = _climb(parent, acc, int(keys[-1]) // (n + 1))
+    parent[0] = -1
     return LabelledTree(family, parent, role, label, depth)
 
 

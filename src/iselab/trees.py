@@ -240,15 +240,14 @@ def enumerate_trees(
 
 def shape_key(tree: LabelledTree) -> tuple:
     """Canonical structure key, independent of node id order."""
-    n = tree.n_nodes
-    children: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    roles = tree.child_role.tolist()
+    children: list[list[tuple[int, int]]] = [[] for _ in roles]
     root = -1
-    for v in range(n):
-        p = int(tree.parent[v])
+    for v, p in enumerate(tree.parent.tolist()):
         if p < 0:
             root = v
         else:
-            children[p].append((int(tree.child_role[v]), v))
+            children[p].append((roles[v], v))
     out: list[int] = []
     if not tree.family.plane:
         # Emit per node a 2-bit presence mask for (left, right).

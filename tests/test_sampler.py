@@ -8,6 +8,7 @@ import pytest
 from iselab.families import BINARY, COMPLETE_BINARY, PLANE_0PM1, PLANE_PM1
 from iselab.sampler import (
     SeedSpec,
+    _climb,
     dyck_moment,
     empirical_dyck_moment,
     rescaled_density,
@@ -147,7 +148,52 @@ IDENTITY_CASES = [
     pytest.param(range(12), 300, id="n0-11"),
     pytest.param((50, 333, 4096), 5, id="medium"),
     pytest.param((65536,), 1, id="n65536"),
+    # Both sides of each bit-length step of the binary sort keys.
+    pytest.param([2**k + d for k in range(1, 13) for d in (0, 1)], 5, id="pow2"),
 ]
+
+
+def _reference_climb(hop, acc):
+    """Chain ends and acc sums by a per-node walk, each node filled once."""
+    hop, acc = hop.tolist(), acc.tolist()
+    end, total = [None] * len(hop), [0] * len(hop)
+    for v in range(len(hop)):
+        path, u = [], v
+        while end[u] is None and hop[u] != u:
+            path.append(u)
+            u = hop[u]
+        if end[u] is None:
+            end[u] = u
+        for w in reversed(path):
+            end[w], total[w] = end[hop[w]], acc[w] + total[hop[w]]
+    return np.array(end), np.array(total)
+
+
+def _chains(lengths, branches, seed):
+    """Paths of the given node counts, then branch nodes each hopping onto
+    an earlier node, under shuffled ids; returns hop, acc (0 at chain ends)
+    and the height.
+    """
+    rng = np.random.default_rng(seed)
+    ids = rng.permutation(sum(lengths) + branches)
+    hop = np.empty(len(ids), dtype=np.int64)
+    depth = np.zeros(len(ids), dtype=np.int64)
+    start = 0
+    for m in lengths:
+        path = ids[start : start + m]
+        hop[path[:-1]] = path[1:]
+        hop[path[-1]] = path[-1]
+        depth[path] = np.arange(m - 1, -1, -1)
+        start += m
+    for i in range(start, len(ids)):
+        hop[ids[i]] = ids[rng.integers(0, i)]
+        depth[ids[i]] = depth[hop[ids[i]]] + 1
+    acc = rng.integers(-3, 4, size=len(ids))
+    acc[hop == np.arange(len(ids))] = 0
+    return hop, acc, int(depth.max())
+
+
+PATH_NODES = sorted({1, 2, 3, 4, 5} | {2**k + d for k in range(1, 17) for d in (0, 1)})
 
 
 class TestSeedSpec:
@@ -217,6 +263,34 @@ class TestTreeSamplers:
     def test_bool_seed_rejected(self):
         with pytest.raises(TypeError):
             sample_binary(5, True)
+
+    def test_binary_size_refused_before_drawing(self):
+        # Packed keys hold n <= 2^31.  The seed is one _rng refuses, so a
+        # size check that moved past the draw fails here without allocating.
+        for n in (0, 2**31 + 1):
+            with pytest.raises(ValueError, match="between 1 and 2\\^31"):
+                sample_binary(n, None)
+
+
+class TestClimb:
+    # Random draws never bring a chain near the round limit, so these
+    # compare the doubling with a per-node walk on worst-case chains.
+    def _check(self, hop, acc, height):
+        want_end, want_total = _reference_climb(hop, acc)
+        for h in (height, None):
+            end, total = _climb(hop, acc, h)
+            assert np.array_equal(end, want_end)
+            assert np.array_equal(total, want_total)
+            end, none = _climb(hop, None, h)
+            assert np.array_equal(end, want_end) and none is None
+
+    @pytest.mark.parametrize("m", PATH_NODES)
+    def test_single_path(self, m):
+        self._check(*_chains([m], 0, m))
+
+    def test_forest(self):
+        lengths = [1, 1, 2, 3, 5, 8, 9, 16, 17, 100, 255, 256, 257, 1000, 4097]
+        self._check(*_chains(lengths, 3000, 1))
 
 
 class TestReferenceIdentity:
