@@ -207,7 +207,7 @@ def _h_profile(args) -> tuple[list[str], list[list], dict, int]:
     if args.samples < 2:
         raise ValueError("need at least 2 samples")
     grid = _parse_grid(args.grid)
-    cfg = _quad_config(args)
+    tol = _tol(args)
     base = SeedSpec(args.seed)
     vals = np.empty((args.samples, len(grid)))
     for i in range(args.samples):
@@ -217,7 +217,7 @@ def _h_profile(args) -> tuple[list[str], list[list], dict, int]:
     means = vals.mean(axis=0)
     ses = vals.std(axis=0, ddof=1) / math.sqrt(args.samples)
     rows = [
-        [float(x), float(means[j]), float(ses[j]), numerics.mean_density_quadrature(x, cfg)]
+        [float(x), float(means[j]), float(ses[j]), numerics.mean_density_quadrature(x, tol)]
         for j, x in enumerate(grid)
     ]
     meta = {
@@ -231,19 +231,19 @@ def _h_profile(args) -> tuple[list[str], list[list], dict, int]:
 
 
 def _h_mgf(args) -> tuple[list[str], list[list], dict, int]:
-    cfg = _quad_config(args)
+    tol = _tol(args)
     avals = _parse_grid(args.a)
-    rows = [[float(a), *numerics.mgf_L_with_error(args.x, float(a), cfg)] for a in avals]
+    rows = [[float(a), *numerics.mgf_L_with_error(args.x, float(a), tol)] for a in avals]
     meta = {"x": args.x, "a": args.a}
     return (["a", "L", "err"], rows, meta, 0)
 
 
 def _h_mean_density(args) -> tuple[list[str], list[list], dict, int]:
-    cfg = _quad_config(args)
+    tol = _tol(args)
     grid = _parse_grid(args.grid)
     rows = []
     for lam_x in grid:
-        q, err = numerics.mean_density_quadrature_with_error(lam_x, cfg)
+        q, err = numerics.mean_density_quadrature_with_error(lam_x, tol)
         s = numerics.mean_density_series(lam_x)
         rows.append([float(lam_x), q, s, abs(q - s), err])
     meta = {"grid": args.grid}
@@ -297,13 +297,10 @@ def _h_verify(args) -> tuple[list[str], list[list], dict, int]:
     return (["criterion", "name", "status", "detail", "seconds"], rows, meta, code)
 
 
-def _quad_config(args) -> numerics.QuadratureConfig | None:
-    tol = getattr(args, "tol", None)
-    if tol is None:
-        return None
-    if tol <= 0:
+def _tol(args) -> float:
+    if not args.tol > 0:
         raise ValueError("--tol must be positive")
-    return numerics.QuadratureConfig(abs_tol=tol, rel_tol=tol)
+    return args.tol
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -339,20 +336,20 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--samples", type=int, default=200)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--grid", default="0:2:9")
-    sp.add_argument("--tol", type=float, default=None)
+    sp.add_argument("--tol", type=float, default=1e-10)
     common(sp)
     sp.set_defaults(handler=_h_profile)
 
     sp = subs.add_parser("mgf", help="moment generating function of the density")
     sp.add_argument("--x", type=float, default=0.0)
     sp.add_argument("--a", required=True, help="comma list or lo:hi:count")
-    sp.add_argument("--tol", type=float, default=None)
+    sp.add_argument("--tol", type=float, default=1e-10)
     common(sp)
     sp.set_defaults(handler=_h_mgf)
 
     sp = subs.add_parser("mean-density", help="mean density by quadrature and series")
     sp.add_argument("--grid", required=True, help="comma list or lo:hi:count")
-    sp.add_argument("--tol", type=float, default=None)
+    sp.add_argument("--tol", type=float, default=1e-10)
     common(sp)
     sp.set_defaults(handler=_h_mean_density)
 

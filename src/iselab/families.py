@@ -46,8 +46,8 @@ class TreeFamily:
     template drives the family's own series engine; a family with
     engine_family set has no template and sums over its internal nodes,
     which form a tree of engine_family.  enum_cap is the largest size
-    enumerate_trees accepts by default (the largest enumeration stays in
-    the hundreds of thousands of shapes), and has_sampler says whether
+    enumerate_trees and the oracle accept (the largest enumeration stays
+    in the hundreds of thousands of shapes), and has_sampler says whether
     sample_tree can draw the family.  Families compare by identity.
     """
 

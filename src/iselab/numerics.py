@@ -26,24 +26,6 @@ class ToleranceError(RuntimeError):
     """A numeric routine could not certify its requested tolerance."""
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Shared knobs for the density rules and the contour integral."""
-
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
-    truncation_length: float = 5.0
-
-    def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.truncation_length < 2.0:
-            raise ValueError("contour truncation below 2 loses the tail")
-
-
-DEFAULT_QUADRATURE = QuadratureConfig()
-
-
 def gamma_fn(z: float) -> float:
     """Gamma function for real arguments, rejecting the poles explicitly."""
     z = float(z)
@@ -71,21 +53,26 @@ def _rule_pair(counts: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
 _DENSITY_T, _DENSITY_W = _rule_pair(_DENSITY_NODES)
 
 
-def _rule_gap(value, coarse_value, cfg: QuadratureConfig, where: str) -> float:
-    """|value - coarse_value|, refused past max(cfg.abs_tol, cfg.rel_tol * |value|)."""
+def _check_tol(tol: float) -> None:
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+
+
+def _rule_gap(value, coarse_value, tol: float, where: str) -> float:
+    """|value - coarse_value|, refused past max(tol, tol * |value|)."""
     err = abs(value - coarse_value)
-    bound = max(cfg.abs_tol, cfg.rel_tol * abs(value))
+    bound = max(tol, tol * abs(value))
     if err > bound:
         raise ToleranceError(f"{where}: gap {err:.3e} exceeds bound {bound:.3e}")
     return err
 
 
 def mean_density_quadrature_with_error(
-    lambda_x: float, cfg: QuadratureConfig | None = None
+    lambda_x: float, tol: float = 1e-10
 ) -> tuple[float, float]:
-    """mean_density_quadrature(lambda_x, cfg) and its error estimate, the
+    """mean_density_quadrature(lambda_x, tol) and its error estimate, the
     gap between the 80- and the 64-node rule, from one evaluation."""
-    cfg = cfg or DEFAULT_QUADRATURE
+    _check_tol(tol)
     x = abs(float(lambda_x))
     if not math.isfinite(x):
         raise ValueError("mean_density_quadrature needs a finite argument")
@@ -111,13 +98,11 @@ def mean_density_quadrature_with_error(
         math.sqrt(2.0 / math.pi) * float(part.sum())
         for part in (terms[:, :coarse], terms[:, coarse:])
     )
-    err = _rule_gap(value, coarse_value, cfg, f"density rules disagree at lambda = {lambda_x}")
+    err = _rule_gap(value, coarse_value, tol, f"density rules disagree at lambda = {lambda_x}")
     return value, err
 
 
-def mean_density_quadrature(
-    lambda_x: float, cfg: QuadratureConfig | None = None
-) -> float:
+def mean_density_quadrature(lambda_x: float, tol: float = 1e-10) -> float:
     """Mean rescaled density at lambda_x via the one-dimensional integral
 
     (2 pi)^(-1/2) * integral_0^inf  y^(1/2) exp(-lambda^2/(2y) - y^2/2) dy.
@@ -129,12 +114,12 @@ def mean_density_quadrature(
     the peak narrows for large lambda.  Each panel is integrated by a 64-
     and an 80-node Gauss-Legendre rule.  The fine rule's value is returned;
     the gap between the two rules is the error estimate, and an input whose
-    gap exceeds max(cfg.abs_tol, cfg.rel_tol * |q|) is refused with a
-    ToleranceError.  The relative error stays below 1e-13 while q is a
+    gap exceeds max(tol, tol * |q|) is refused with a ToleranceError, and
+    tol must be positive.  The relative error stays below 1e-13 while q is a
     normal float (|lambda| up to about 140); beyond, q underflows to 0
     with a zero gap.
     """
-    return mean_density_quadrature_with_error(lambda_x, cfg)[0]
+    return mean_density_quadrature_with_error(lambda_x, tol)[0]
 
 
 _SQRT_HALF = math.sqrt(0.5)
@@ -287,23 +272,27 @@ def contour_point(t_param: float, a: float = 0.0) -> ContourPoint:
     return ContourPoint(t, v, solve_A(a / v**3))
 
 
-# Gauss-Legendre node counts of the coarse and the fine contour rule.
+# Gauss-Legendre node counts of the coarse and the fine contour rule, and
+# the ray parameter t at which the contour is cut.
 _MGF_NODES = (160, 200)
+_MGF_SPAN = 5.0
 
 
-@functools.lru_cache(maxsize=8)
-def _ray_rules(span: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+# Built on the first mgf_L call, so importing the module pays for no
+# 200-node rule.
+@functools.cache
+def _ray_rules() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Both Gauss-Legendre rules on both rays, as arrays of shape (2, N).
 
     Row 0 is the upper ray v = 1 + t e^(i pi/4), row 1 the lower ray; the
     columns hold the coarse rule's nodes, then the fine rule's, on
-    t in [0, span].  Returns v, v^(-3) and the part of each weighted term
+    t in [0, _MGF_SPAN].  Returns v, v^(-3) and the part of each weighted term
     that depends on neither x nor a: weight * dv/dt * v^5 e^(v^4), with the
     lower ray's minus sign.
     """
     t, w = _rule_pair(_MGF_NODES)
-    t = 0.5 * span * (t + 1.0)
-    w = 0.5 * span * w
+    t = 0.5 * _MGF_SPAN * (t + 1.0)
+    w = 0.5 * _MGF_SPAN * w
     rays = np.array([[_RAY_UP], [_RAY_DOWN]])
     v = 1.0 + t * rays
     kernel = w * rays * np.array([[1.0], [-1.0]]) * v**5 * np.exp(v**4)
@@ -313,12 +302,10 @@ def _ray_rules(span: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return out
 
 
-def mgf_L_with_error(
-    x: float, a: float, cfg: QuadratureConfig | None = None
-) -> tuple[float, float]:
-    """mgf_L(x, a, cfg) and its error estimate |L_200 - L_160|, the gap
+def mgf_L_with_error(x: float, a: float, tol: float = 1e-10) -> tuple[float, float]:
+    """mgf_L(x, a, tol) and its error estimate |L_200 - L_160|, the gap
     between the fine and the coarse rule, from one evaluation."""
-    cfg = cfg or DEFAULT_QUADRATURE
+    _check_tol(tol)
     x = float(x)
     a = float(a)
     if x < 0:
@@ -327,13 +314,13 @@ def mgf_L_with_error(
         raise ValueError(f"mgf_L needs |a| < 4/sqrt(3) ~ {MGF_A_RADIUS:.6f}")
     if a == 0.0:
         return 1.0, 0.0
-    v, inv_cube, kernel = _ray_rules(cfg.truncation_length)
+    v, inv_cube, kernel = _ray_rules()
     ae = solve_A(a * inv_cube) * np.exp(-2.0 * x * v)
     terms = kernel * ae / ((1.0 + ae) * (1.0 + ae))
     coarse = _MGF_NODES[0]
     rules = (terms[:, :coarse].sum(), terms[:, coarse:].sum())
     coarse_value, value = (1.0 + 48.0 / (1j * math.sqrt(math.pi)) * r for r in rules)
-    err = _rule_gap(value, coarse_value, cfg, f"contour rules disagree at x = {x}, a = {a}")
+    err = _rule_gap(value, coarse_value, tol, f"contour rules disagree at x = {x}, a = {a}")
     if abs(value.imag) > 1e-8:
         raise ToleranceError(
             f"contour symmetry violated: imaginary residue {value.imag:.3e}"
@@ -341,25 +328,25 @@ def mgf_L_with_error(
     return float(value.real), float(err)
 
 
-def mgf_L(x: float, a: float, cfg: QuadratureConfig | None = None) -> float:
+def mgf_L(x: float, a: float, tol: float = 1e-10) -> float:
     """Moment generating function of the density at a point, via the contour
 
     L(x, a) = 1 + 48 / (i sqrt(pi)) * integral_Gamma
               A e^(-2xv) / (1 + A e^(-2xv))^2 * v^5 e^(v^4) dv,
 
     with A = A(a / v^3) and Gamma the two rays through 1 at angles +-pi/4,
-    cut at t = cfg.truncation_length.  Defined for x >= 0 and
+    cut at t = 5.  Defined for x >= 0 and
     |a| < 4/sqrt(3); L(x, 0) is the literal 1.
 
     Each ray is integrated by a 160- and a 200-node Gauss-Legendre rule,
     with A solved for all 720 nodes in one solve_A call.  The fine rule's
     value is returned; the gap between the two rules is the error estimate,
-    and an input whose gap exceeds max(cfg.abs_tol, cfg.rel_tol * |L|) is
-    refused with a ToleranceError (near the branch radius the integrand
+    and an input whose gap exceeds max(tol, tol * |L|), for a positive tol,
+    is refused with a ToleranceError (near the branch radius the integrand
     sharpens, so |a| close to 4/sqrt(3) is refused rather than degraded).
     The imaginary residue of the symmetric contour must also vanish to
     1e-8.  With both rays on one node set that residue is zero up to
     rounding, so it is not an error estimate: the branch tracking is tested
     by solve_A's residual bound and by pinned high-precision values.
     """
-    return mgf_L_with_error(x, a, cfg)[0]
+    return mgf_L_with_error(x, a, tol)[0]

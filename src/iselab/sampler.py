@@ -243,20 +243,16 @@ def dyck_moment(heights: np.ndarray, lam: Sequence[int]) -> float:
 
 
 def empirical_dyck_moment(
-    n: int, lam: Sequence[int], samples: int, seed: SeedLike
+    n: int, lam: Sequence[int], samples: int, seed: SeedSpec
 ) -> EmpiricalMoment:
-    """MC mean and standard error of the Dyck-path excursion moment."""
+    """MC mean and standard error of the Dyck-path excursion moment; draw i
+    comes from stream seed.stream_id + i."""
     if samples < 2:
         raise ValueError("need at least 2 samples for a standard error")
     vals = np.empty(samples)
-    if isinstance(seed, np.random.Generator):
-        for i in range(samples):
-            vals[i] = dyck_moment(sample_dyck_path(n, seed), lam)
-    else:
-        base = seed if isinstance(seed, SeedSpec) else SeedSpec(int(seed))
-        for i in range(samples):
-            heights = sample_dyck_path(n, base.stream(base.stream_id + i))
-            vals[i] = dyck_moment(heights, lam)
+    for i in range(samples):
+        heights = sample_dyck_path(n, seed.stream(seed.stream_id + i))
+        vals[i] = dyck_moment(heights, lam)
     return EmpiricalMoment(
         float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(samples))
     )

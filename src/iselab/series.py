@@ -65,15 +65,6 @@ class PowerSeries:
     def one(cls, order: int) -> "PowerSeries":
         return cls([1], order=order)
 
-    @classmethod
-    def monomial(cls, c: Number, k: int, order: int) -> "PowerSeries":
-        if k < 0:
-            raise ValueError("monomial exponent must be non-negative")
-        cs = [0] * (order + 1)
-        if k <= order:
-            cs[k] = c
-        return cls(cs, order=order)
-
     def coeff(self, n: int) -> int | Fraction:
         """Coefficient of t^n; raises IndexError beyond the truncation order."""
         if not 0 <= n <= self.order:
@@ -297,10 +288,6 @@ class LaurentPoly:
     @classmethod
     def const(cls, c: Number) -> "LaurentPoly":
         return cls([c])
-
-    @classmethod
-    def x_power(cls, k: int, c: Number = 1) -> "LaurentPoly":
-        return cls([c], lo=k)
 
     @property
     def hi(self) -> int:

@@ -2,8 +2,9 @@
 
 Trees are stored as flat arrays indexed by preorder node id (samplers may
 use other id orders; shape_key canonicalizes).  The enumerator yields every
-labelled object of a family and size exactly once and is the ground truth
-the series machinery is tested against.
+labelled object of a family and size exactly once.  The oracle, the ground
+truth the series machinery is tested against, covers the same objects in
+blocks of label columns, one code path for all four families.
 """
 
 from __future__ import annotations
@@ -205,20 +206,21 @@ def _depths_from_parents(parent: np.ndarray) -> np.ndarray:
     return depth
 
 
-def enumerate_trees(
-    family: TreeFamily, n: int, max_size: int | None = None
-) -> Iterator[LabelledTree]:
+def _check_size(family: TreeFamily, n: int) -> None:
+    if n > family.enum_cap:
+        raise ValueError(f"size {n} above enumeration cap {family.enum_cap} for {family.name}")
+    if not family.valid_size(n):
+        raise ValueError(f"invalid {family.name} size {n}")
+
+
+def enumerate_trees(family: TreeFamily, n: int) -> Iterator[LabelledTree]:
     """Yield each labelled object of the given size exactly once.
 
     Binary and complete trees carry their deterministic labelling; plane
     trees are yielded once per edge-increment assignment.  Sizes above the
-    family's enum_cap (overridable via max_size) raise ValueError.
+    family's enum_cap raise ValueError.
     """
-    cap = max_size if max_size is not None else family.enum_cap
-    if n > cap:
-        raise ValueError(f"size {n} above enumeration cap {cap} for {family.name}")
-    if not family.valid_size(n):
-        raise ValueError(f"invalid {family.name} size {n}")
+    _check_size(family, n)
 
     if not family.plane:
         # A shape of series index i has i nodes; full trees add the leaves.
@@ -279,15 +281,6 @@ def shape_key(tree: LabelledTree) -> tuple:
     return tuple(out)
 
 
-def _power_sums_int(labels: np.ndarray, max_power: int) -> list[int]:
-    """Exact power sums of an integer label array for k = 0..max_power."""
-    sums = [len(labels)]
-    vals = [int(x) for x in labels]
-    for k in range(1, max_power + 1):
-        sums.append(sum(x**k for x in vals))
-    return sums
-
-
 def _assignment_matrix(incs: tuple[int, ...], n: int) -> np.ndarray:
     return np.array(list(itertools.product(incs, repeat=n)), dtype=np.int64).reshape(
         len(incs) ** n, n
@@ -312,9 +305,45 @@ def _plane_root_paths(n: int) -> np.ndarray:
     return anc
 
 
-# Label entries (nodes x objects) per block of the plane oracle: big enough
-# for BLAS and numpy to amortize call overhead, small enough to stay in cache.
+# Label entries (nodes x objects) per oracle block: big enough for BLAS and
+# numpy to amortize call overhead, small enough to stay in cache.
 _ORACLE_BLOCK = 2**16
+
+
+def _label_blocks(family: TreeFamily, n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(labels, weights) blocks covering every labelled object of size n.
+
+    labels is nodes x columns, and weights[j] is the number of labelled
+    objects column j stands for.  Binary and complete trees take one
+    column per shape, of weight 1.  Edge increments are i.i.d., so
+    reordering a node's children only permutes the labelled objects of a
+    size: the plane families take one shape per unordered class with every
+    increment assignment, its labels from one float64 matmul of the class's
+    root-path rows against the assignments, weighted by the class's counted
+    multiplicity.  A block holds about _ORACLE_BLOCK label entries.
+    """
+    nodes = family.node_count(n)
+    if not family.plane:
+        shapes = _binary_shapes(family.series_index(n))
+        step = max(1, _ORACLE_BLOCK // nodes)
+        for s0 in range(0, len(shapes), step):
+            block = shapes[s0 : s0 + step]
+            labels = np.array([_binary_tree_arrays(shape, family.full)[2] for shape in block])
+            yield labels.T, np.ones(len(block), dtype=np.int64)
+        return
+    assign_t = _assignment_matrix(family.increments, n).T.astype(np.float64)
+    n_assign = assign_t.shape[1]
+    anc = _plane_root_paths(n)
+    mult = np.array(_plane_classes(n)[1], dtype=np.int64)
+    step = max(1, _ORACLE_BLOCK // (nodes * n_assign))
+    for s0 in range(0, len(mult), step):
+        block = anc[:, s0 : s0 + step]
+        # Per-block weights: one vector over all objects would cost memory.
+        # They are made before the labels: made after, while the caller
+        # still holds the last block, they cost 16 times the page faults
+        # (plane_0pm1, n = 8) and about 15 % of the time.
+        weight = np.repeat(mult[s0 : s0 + step], n_assign)
+        yield (block.reshape(nodes * block.shape[1], n) @ assign_t).reshape(nodes, -1), weight
 
 
 def oracle_power_product_totals(
@@ -323,54 +352,30 @@ def oracle_power_product_totals(
     """Total of prod_i(sum_v label^lam_i) over all labelled objects of size n.
 
     Returns (totals by partition, object count).  Exact integers; computed
-    by direct enumeration.  Edge increments are i.i.d., so reordering a
-    node's children only permutes the labelled objects of a size: the plane
-    families enumerate every labelled object of one shape per unordered
-    class and weight it by the class's counted multiplicity.  They run in
-    blocks of classes: one float64 matmul of the block's root-path rows
-    against every increment assignment gives their labels, and power sums
-    over node rows give one value per object, exact while
-    (n + 1) * n^max_power < 2^53 (larger powers raise ValueError).  Each
-    partition's total is then a dot product of its last power sum with the
-    weighted product of the others, in int64 or, when a bound says int64
-    could overflow, in Python ints.
+    by direct enumeration, in the label blocks of _label_blocks.  Power
+    sums over node rows give one value per column, in the labels' own
+    dtype (float64 for the plane families, int64 for the others) while
+    nodes * (nodes - 1)^max_power < 2^53 (|label| < nodes) and in Python
+    ints past it.  Each partition's total is then a dot product of its
+    last power sum with the weighted product of the others, in int64 or,
+    when a bound says int64 could overflow, in Python ints.
     """
+    _check_size(family, n)
+    nodes = family.node_count(n)
     max_power = max((max(lam) for lam in partitions if lam), default=0)
+    in_float = nodes * (nodes - 1) ** max_power < 2**53
     totals = {lam: 0 for lam in partitions}
     count = 0
-
-    if not family.plane:
-        for tree in enumerate_trees(family, n):
-            count += 1
-            ps = _power_sums_int(tree.label, max_power)
-            for lam in partitions:
-                term = 1
-                for part in lam:
-                    term *= ps[part]
-                totals[lam] += term
-        return totals, count
-
-    if (n + 1) * n**max_power >= 2**53:
-        raise ValueError(
-            f"power {max_power} at size {n} exceeds the exact float64 range of the "
-            "plane oracle"
-        )
-    assign_t = _assignment_matrix(family.increments, n).T.astype(np.float64)
-    n_assign = assign_t.shape[1]
-    anc = _plane_root_paths(n)
-    mult = np.array(_plane_classes(n)[1], dtype=np.int64)
-    step = max(1, _ORACLE_BLOCK // ((n + 1) * n_assign))
-    for s0 in range(0, len(mult), step):
-        block = anc[:, s0 : s0 + step]
-        rows = (n + 1) * block.shape[1]
-        labels = (block.reshape(rows, n) @ assign_t).reshape(n + 1, -1)
-        # Per-block weights: one vector over all objects would cost memory.
-        weight = np.repeat(mult[s0 : s0 + step], n_assign)
+    for labels, weight in _label_blocks(family, n):
         block_count = int(weight.sum())
-        powers = [np.full(labels.shape[1], n + 1, dtype=np.int64)]
+        if not in_float:
+            # Through int64, so the objects are Python ints and not floats.
+            labels = labels.astype(np.int64).astype(object)
+        powers = [np.full(labels.shape[1], nodes, dtype=np.int64)]
         acc = labels.copy()
         for k in range(1, max_power + 1):
-            powers.append(acc.sum(axis=0).astype(np.int64))
+            sums = acc.sum(axis=0)
+            powers.append(sums.astype(np.int64) if in_float else sums)
             if k < max_power:
                 acc *= labels
         # Weighted products of all but the last power sum, each chain started
@@ -382,7 +387,7 @@ def oracle_power_product_totals(
                 continue
             # Product of power sums can exceed int64 for heavy partitions;
             # bound it and switch to Python-int elements when needed.
-            bound = (n + 1) ** len(lam) * n ** sum(lam) * block_count
+            bound = nodes ** len(lam) * (nodes - 1) ** sum(lam) * block_count
             dtype = np.int64 if bound < 2**62 else object
             for i in range(len(lam)):
                 key = (lam[:i], dtype)

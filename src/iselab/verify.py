@@ -29,6 +29,12 @@ SEED_PROFILE = SeedSpec(914008)
 SEED_CHI_BINARY = SeedSpec(914010)
 SEED_CHI_PLANE = SeedSpec(914011)
 
+# Frozen Monte Carlo sizes: criterion 8's draws and tree size, and
+# criterion 10's draws per family.
+PROFILE_SAMPLES = 500
+PROFILE_N = 65536
+CHI_SAMPLES = 100_000
+
 
 @dataclass(frozen=True)
 class CriterionResult:
@@ -261,18 +267,18 @@ def criterion_7() -> CriterionResult:
     return _done(7, "duplication identity", True, f"k=1..4 rel gap <= {worst:.2e}", t0)
 
 
-def criterion_8(samples: int = 500, n: int = 65536) -> CriterionResult:
+def criterion_8() -> CriterionResult:
     """Mean rescaled binary profile matches the mean density pointwise."""
     t0 = time.perf_counter()
     xs = (0.0, 0.5, 1.0)
     refs = [numerics.mean_density_quadrature(x) for x in xs]
-    vals = np.empty((samples, len(xs)))
-    for i in range(samples):
-        tree = sampler.sample_binary(n, SEED_PROFILE.stream(i))
+    vals = np.empty((PROFILE_SAMPLES, len(xs)))
+    for i in range(PROFILE_SAMPLES):
+        tree = sampler.sample_binary(PROFILE_N, SEED_PROFILE.stream(i))
         prof = trees.vertical_profile(tree)
         vals[i] = [sampler.rescaled_density(prof, BINARY, x) for x in xs]
     means = vals.mean(axis=0)
-    ses = vals.std(axis=0, ddof=1) / math.sqrt(samples)
+    ses = vals.std(axis=0, ddof=1) / math.sqrt(PROFILE_SAMPLES)
     details = []
     passed = True
     for j, x in enumerate(xs):
@@ -302,7 +308,7 @@ def _chi_square(observed: dict, classes: int, samples: int) -> float:
     return sum((observed.get(k, 0) - expected) ** 2 for k in range(classes)) / expected
 
 
-def criterion_10(samples: int = 100_000) -> CriterionResult:
+def criterion_10() -> CriterionResult:
     """Sampler uniformity over shapes by chi-square at 4 sigma."""
     t0 = time.perf_counter()
     details = []
@@ -315,12 +321,12 @@ def criterion_10(samples: int = 100_000) -> CriterionResult:
         index = {key: i for i, key in enumerate(keys)}
         rng = seed.generator()
         observed: dict = {}
-        for _ in range(samples):
+        for _ in range(CHI_SAMPLES):
             tree = sampler.sample_tree(fam, n, rng)
             i = index[trees.shape_key(tree)]
             observed[i] = observed.get(i, 0) + 1
         classes = len(keys)
-        chi2 = _chi_square(observed, classes, samples)
+        chi2 = _chi_square(observed, classes, CHI_SAMPLES)
         df = classes - 1
         limit = df + 4.0 * math.sqrt(2.0 * df)
         details.append(f"{fam.name} n={n}: chi2 {chi2:.2f} <= {limit:.2f} (df {df})")

@@ -192,6 +192,12 @@ class TestNumericCommands:
             assert float(row[3]) <= 1e-8
             assert 0.0 < float(row[4]) <= 1e-14
 
+    @pytest.mark.parametrize("command", [["mgf", "--a", "0.5"], ["mean-density", "--grid", "0"]])
+    def test_nonpositive_tol_is_a_usage_error(self, capsys, command):
+        rc, _, err = run_cli(capsys, command + ["--tol", "0"])
+        assert rc == 2
+        assert "--tol must be positive" in err
+
     def test_tolerance_failure_exit_code(self, capsys):
         rc, _, err = run_cli(capsys, ["mean-density", "--grid", "0", "--tol", "1e-30"])
         assert rc == 3

@@ -8,9 +8,7 @@ import pytest
 from iselab import numerics
 from iselab.grandmoments import density0_moment, limit_moment_ise
 from iselab.numerics import (
-    DEFAULT_QUADRATURE,
     MGF_A_RADIUS,
-    QuadratureConfig,
     ToleranceError,
     contour_point,
     gamma_fn,
@@ -35,11 +33,15 @@ class TestGammaAndConfig:
                 gamma_fn(z)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureConfig(abs_tol=0.0)
-        with pytest.raises(ValueError):
-            QuadratureConfig(truncation_length=1.0)
-        assert DEFAULT_QUADRATURE.abs_tol == 1e-10
+        # tol is both the absolute and the relative bound; it must be positive.
+        for tol in (0.0, -1e-10, math.nan):
+            for call in (
+                lambda: mean_density_quadrature(0.5, tol),
+                lambda: mgf_L(0.5, 1.0, tol),
+                lambda: mgf_L(0.5, 0.0, tol),
+            ):
+                with pytest.raises(ValueError, match="tol must be positive"):
+                    call()
 
 
 class TestMeanDensity:
@@ -106,10 +108,10 @@ class TestDensityRule:
         sweep = np.concatenate([np.linspace(-10.0, 10.0, 4001), np.linspace(0.0, 0.2, 2002)[1:]])
         worst = 0.0
         for lam in sweep:
-            value, err = mean_density_quadrature_with_error(lam, DEFAULT_QUADRATURE)
+            value, err = mean_density_quadrature_with_error(lam, 1e-10)
             assert mean_density_quadrature(lam) == value
             worst = max(worst, err)
-        assert worst <= DEFAULT_QUADRATURE.abs_tol
+        assert worst <= 1e-10
 
     def test_far_tail_underflows_to_zero(self):
         for lam in (150.0, 1e6, -1e300):
@@ -121,9 +123,10 @@ class TestDensityRule:
                 mean_density_quadrature(lam)
 
     def test_tolerance_is_honoured(self):
-        _, err = mean_density_quadrature_with_error(0.0)
+        value, err = mean_density_quadrature_with_error(0.0)
         assert 0.0 < err <= 1e-14
-        tight = QuadratureConfig(abs_tol=err / 2, rel_tol=err / 8)
+        # The bound is max(tol, tol * |q|), so any tol below this refuses.
+        tight = 0.5 * err / max(1.0, abs(value))
         with pytest.raises(ToleranceError, match="gap .* exceeds bound"):
             mean_density_quadrature(0.0, tight)
 
@@ -270,7 +273,7 @@ class TestContourRule:
         for frac in np.linspace(-0.985, 0.985, 21):
             value, err = mgf_L_with_error(x, frac * MGF_A_RADIUS)
             assert math.isfinite(value) and value > 0
-            assert err <= DEFAULT_QUADRATURE.abs_tol
+            assert err <= 1e-10
             assert mgf_L(x, frac * MGF_A_RADIUS) == value
 
     def test_error_at_zero(self):
@@ -282,8 +285,10 @@ class TestContourRule:
 
     def test_tolerance_is_honoured(self):
         a = 0.99 * MGF_A_RADIUS
-        _, err = mgf_L_with_error(0.0, a)
-        assert 0.0 < err <= DEFAULT_QUADRATURE.abs_tol
-        tight = QuadratureConfig(abs_tol=err / 2, rel_tol=err / 8)
-        with pytest.raises(ToleranceError):
+        value, err = mgf_L_with_error(0.0, a)
+        assert 0.0 < err <= 1e-10
+        # |L| is about 3.5 here, so the relative half of the bound decides.
+        tight = 0.5 * err / max(1.0, abs(value))
+        with pytest.raises(ToleranceError, match="gap .* exceeds bound"):
             mgf_L(0.0, a, tight)
+        assert mgf_L(0.0, a, 2.0 * err / max(1.0, abs(value))) == value

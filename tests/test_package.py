@@ -2,6 +2,7 @@
 dispatch on family names in the source, and numpy as the only runtime
 dependency."""
 
+import ast
 import importlib.util
 import os
 import re
@@ -38,6 +39,36 @@ def test_benchmark_and_readme_names_resolve():
     assert missing == []
     unlisted = [n for n in sorted(names) if hasattr(iselab, n) and n not in iselab.__all__]
     assert [n for n in unlisted if not _is_submodule(n)] == []
+
+
+def _attribute_chains(source: str, roots: set[str]) -> set[tuple[str, ...]]:
+    """Every dotted attribute read a.b.c in source whose root a is in roots."""
+    chains = set()
+    for node in ast.walk(ast.parse(source)):
+        parts = []
+        while isinstance(node, ast.Attribute):
+            parts.append(node.attr)
+            node = node.value
+        if parts and isinstance(node, ast.Name) and node.id in roots:
+            chains.add((node.id, *reversed(parts)))
+    return chains
+
+
+def test_benchmark_attribute_reads_resolve():
+    # jobs.py binds `series` by `from iselab import series`; a prune that
+    # drops anything it reads would break the benchmark.
+    roots = {"iselab": iselab, "series": iselab.series}
+    chains = _attribute_chains((ROOT / "perfbench" / "jobs.py").read_text(), set(roots))
+    assert {("series", "FloatSeries"), ("iselab", "BivariateSeries", "from_power_series")} <= chains
+    missing = []
+    for root, *attrs in sorted(chains):
+        obj = roots[root]
+        for attr in attrs:
+            if not hasattr(obj, attr):
+                missing.append(".".join((root, *attrs)))
+                break
+            obj = getattr(obj, attr)
+    assert missing == []
 
 
 def test_all_names_resolve():

@@ -165,9 +165,9 @@ class TestEnumeration:
     def test_cap_enforced(self):
         with pytest.raises(ValueError, match="cap"):
             next(enumerate_trees(BINARY, 13))
-        # An explicit max_size overrides the default cap.
-        it = enumerate_trees(BINARY, 13, max_size=13)
-        next(it).validate()
+        # The oracle shares the cap, plane families included.
+        with pytest.raises(ValueError, match="cap"):
+            oracle_power_product_totals(PLANE_PM1, PLANE_PM1.enum_cap + 1, [()])
 
     def test_invalid_size_rejected(self):
         with pytest.raises(ValueError, match="invalid"):
@@ -253,17 +253,21 @@ class TestOracle:
         assert seen == count
         assert totals[lam] == slow
 
-    @pytest.mark.parametrize("family", [PLANE_PM1, PLANE_0PM1])
+    @pytest.mark.parametrize("family", [PLANE_PM1, PLANE_0PM1, BINARY, COMPLETE_BINARY])
     @pytest.mark.parametrize("block", [None, 500])
     def test_plane_blocks_match_per_object_loop(self, family, block, monkeypatch):
-        # At n <= 5 the default block holds every class; 500 label entries
-        # give blocks of one to six classes at n = 4 and 5, and plane_pm1 at
-        # n = 4 ends on a shorter block (9 classes = 6 + 3).
+        # Every family, despite the name.  The default block holds every
+        # object here.  500 label entries give blocks of one to six plane
+        # classes at n = 4 and 5, with plane_pm1 at n = 4 ending on a
+        # shorter block (9 classes = 6 + 3); binary shapes at n = 6 and 7
+        # (83 and 71 a block: 132 = 83 + 49 and 429 = 6 * 71 + 3), and
+        # complete shapes at n = 13 (38 a block: 132 = 3 * 38 + 18).
         if block is not None:
             monkeypatch.setattr(trees, "_ORACLE_BLOCK", block)
         # (10, 10, 10) overflows the int64 bound and takes the Python-int path.
         lams = [(), (1,), (2, 2), (1, 1, 4), (10, 10, 10)]
-        for n in range(6):
+        max_size = {PLANE_PM1: 5, PLANE_0PM1: 5, BINARY: 7, COMPLETE_BINARY: 13}[family]
+        for n in family.sizes_upto(max_size):
             totals, count = oracle_power_product_totals(family, n, lams)
             want, seen = _per_object_totals(family, n, lams)
             assert count == seen == family.count(n)
@@ -278,23 +282,34 @@ class TestOracle:
         assert totals == want
 
     def test_plane_power_sums_exact_up_to_float_range(self):
-        # 5 * 4^25 < 2^53 <= 5 * 4^26: the largest power accepted at n = 4.
+        # 5 * 4^25 < 2^53 <= 5 * 4^26: the largest power summed in float64 at n = 4.
         totals, _ = oracle_power_product_totals(PLANE_PM1, 4, [(25,)])
         slow = sum(
             sum(int(x) ** 25 for x in t.label) for t in enumerate_trees(PLANE_PM1, 4)
         )
         assert totals[(25,)] == slow
 
-    def test_plane_refuses_powers_past_float_range(self):
-        # The true total needs more than 64 bits; int64 power sums wrapped.
-        slow = sum(
-            sum(int(x) ** 32 for x in t.label) for t in enumerate_trees(PLANE_PM1, 4)
-        )
-        assert slow == 36945373434261461040 > 2**64
-        with pytest.raises(ValueError, match="exact float64 range"):
-            oracle_power_product_totals(PLANE_PM1, 4, [(32,)])
-        with pytest.raises(ValueError, match="exact float64 range"):
-            oracle_power_product_totals(PLANE_PM1, 4, [(2,), (1, 26)])
+    @staticmethod
+    def _check_past_float_range(family, n, lams):
+        nodes = family.node_count(n)
+        assert nodes * (nodes - 1) ** max(max(lam) for lam in lams) >= 2**53
+        totals, count = oracle_power_product_totals(family, n, lams)
+        want, seen = _per_object_totals(family, n, lams)
+        assert count == seen == family.count(n)
+        assert totals == want
+        return totals
+
+    def test_plane_exact_past_float_range(self):
+        # 5 * 4^32 >= 2^53: power sums in Python ints.  The power-32 total
+        # needs more than 64 bits, so int64 power sums would wrap.
+        totals = self._check_past_float_range(PLANE_PM1, 4, [(32,)])
+        assert totals[(32,)] == 36945373434261461040 > 2**64
+        self._check_past_float_range(PLANE_PM1, 4, [(2,), (1, 26)])
+
+    @pytest.mark.parametrize("family", [BINARY, COMPLETE_BINARY])
+    def test_binary_exact_past_float_range(self, family):
+        # 9 * 8^20 >= 2^53, on 4862 binary and 14 complete shapes.
+        self._check_past_float_range(family, 9, [(20,)])
 
     def test_even_complete_size_rejected(self):
         with pytest.raises(ValueError, match="invalid"):
