@@ -269,8 +269,9 @@ def _h_dyck_moments(args) -> tuple[list[str], list[list], dict, int]:
     if args.samples < 2:
         raise ValueError("need at least 2 samples")
     base = SeedSpec(args.seed)
+    lams = args.lam or ["1"]
     rows = []
-    for i, text in enumerate(args.lam):
+    for i, text in enumerate(lams):
         lam = _parse_partition(text, allow_zero=False)
         est = sampler.empirical_dyck_moment(
             args.n, lam, args.samples, base.stream(1000 * i)
@@ -281,7 +282,7 @@ def _h_dyck_moments(args) -> tuple[list[str], list[list], dict, int]:
         "n": args.n,
         "samples": args.samples,
         "seed": args.seed,
-        "lambda": " ".join(args.lam),
+        "lambda": " ".join(lams),
     }
     return (["lambda", "mean", "stderr", "limit"], rows, meta, 0)
 
@@ -363,7 +364,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = subs.add_parser("dyck-moments", help="Dyck-path MC vs excursion limits")
     sp.add_argument("--n", type=int, default=2048)
     sp.add_argument(
-        "--lambda", dest="lam", action="append", default=None, help="repeatable partition"
+        "--lambda", dest="lam", action="append", help="repeatable partition"
     )
     sp.add_argument("--samples", type=int, default=5000)
     sp.add_argument("--seed", type=int, default=0)
@@ -381,8 +382,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "dyck-moments" and args.lam is None:
-        args.lam = ["1"]
     t0 = time.perf_counter()
     try:
         columns, rows, meta_extra, code = args.handler(args)

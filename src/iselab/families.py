@@ -1,10 +1,11 @@
 """The four labelled tree families, with every per-family difference as data.
 
 A family is a value object: its counting constants, size rule, shape
-class, edge increments and the recursion template of the series engine
-are fields, and the other modules read those fields instead of testing
-the family's name.  Sizes are measured in the family's own unit: edges
-for plane trees, nodes for binary and complete binary trees.
+class and edge increments are fields, and the other modules read those
+fields instead of testing the family's name; the series engine derives
+its recursion from the shape class and the increments.  Sizes are
+measured in the family's own unit: edges for plane trees, nodes for
+binary and complete binary trees.
 """
 
 from __future__ import annotations
@@ -23,11 +24,6 @@ def catalan(n: int) -> int:
     return comb(2 * n, n) // (n + 1)
 
 
-# Side-expansion kinds used by the recursion templates: a subtree hung with
-# a -1 label shift ("down"), a +1 shift ("up"), or no shift ("plain").
-Template = tuple[tuple[str, str], ...]
-
-
 @dataclass(frozen=True, eq=False)
 class TreeFamily:
     """One labelled tree family.
@@ -43,12 +39,12 @@ class TreeFamily:
 
     gamma4 is the fourth power of the profile rescaling constant gamma,
     kept exact; gamma itself is irrational for three of the families.
-    template drives the family's own series engine; a family with
-    engine_family set has no template and sums over its internal nodes,
-    which form a tree of engine_family.  enum_cap is the largest size
-    enumerate_trees and the oracle accept (the largest enumeration stays
-    in the hundreds of thousands of shapes), and has_sampler says whether
-    sample_tree can draw the family.  Families compare by identity.
+    A family with engine_family set has no series engine of its own and
+    sums over its internal nodes, which form a tree of engine_family.
+    enum_cap is the largest size enumerate_trees and the oracle accept
+    (the largest enumeration stays in the hundreds of thousands of
+    shapes), and has_sampler says whether sample_tree can draw the family.
+    Families compare by identity.
     """
 
     name: str
@@ -57,7 +53,6 @@ class TreeFamily:
     node_mult: tuple[int, int]
     plane: bool
     increments: tuple[int, ...]
-    template: Template | None
     enum_cap: int
     full: bool = False
     engine_family: TreeFamily | None = None
@@ -123,7 +118,6 @@ BINARY = TreeFamily(
     node_mult=(1, 0),
     plane=False,
     increments=(-1, 1),
-    template=(("down", "up"),),
     enum_cap=12,
 )
 
@@ -134,7 +128,6 @@ COMPLETE_BINARY = TreeFamily(
     node_mult=(2, 1),
     plane=False,
     increments=(-1, 1),
-    template=None,
     enum_cap=25,
     full=True,
     engine_family=BINARY,
@@ -148,7 +141,6 @@ PLANE_PM1 = TreeFamily(
     node_mult=(1, 1),
     plane=True,
     increments=(-1, 1),
-    template=(("down", "plain"), ("up", "plain")),
     enum_cap=10,
 )
 
@@ -159,7 +151,6 @@ PLANE_0PM1 = TreeFamily(
     node_mult=(1, 1),
     plane=True,
     increments=(-1, 0, 1),
-    template=(("plain", "plain"), ("down", "plain"), ("up", "plain")),
     enum_cap=8,
 )
 

@@ -4,9 +4,11 @@ moments, and label pair correlations for the four tree families.
 The core recursion computes, for an extended partition lam, the series
 whose t^idx coefficient is the total over all labelled objects of index
 idx of prod_i sum_v fall(label(v), lam_i).  Zero parts strip off as a
-node-count multiplier; all-positive partitions expand through the family
-template (subtree label shifts down/up/none), the self-terms on both ends
-are excluded, and the result is divided by sqrt(1 - base*t).  The parts
+node-count multiplier; all-positive partitions expand through the two
+sides of the root, each with its labels shifted by an increment of the
+family (the two children of a binary node; a plane tree's first subtree
+and the rest of the tree, unshifted), the self-terms on both ends are
+excluded, and the result is divided by sqrt(1 - base*t).  The parts
 are split between the two subtrees once per sub-multiset, with the number
 of index splits it stands for as its weight.
 
@@ -34,7 +36,7 @@ import itertools
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, isfinite, lcm, pi, sqrt
+from math import comb, isfinite, lcm, pi, prod, sqrt
 from operator import mul
 from typing import NamedTuple, Sequence, Union
 
@@ -43,7 +45,6 @@ from .families import (
     COMPLETE_BINARY,
     PLANE_0PM1,
     PLANE_PM1,
-    Template,
     TreeFamily,
     catalan,
 )
@@ -173,9 +174,19 @@ def _apply_node_mult(s: Series, a: int, b: int) -> Series:
     return out
 
 
-class _Engine:
-    """Memoized template recursion over one ops backend.
+@lru_cache(maxsize=None)
+def _shift_terms(k: int, inc: int) -> tuple[tuple[int, int], ...]:
+    """The nonzero (s, C(k, s) fall(inc, k - s)) of one part k on a side
+    shifted by inc: fall(l + inc, k) = sum_s C(k, s) fall(inc, k - s) fall(l, s)."""
+    terms = ((s, comb(k, s) * prod(range(inc, inc - k + s, -1))) for s in range(k + 1))
+    return tuple((s, c) for s, c in terms if c)
 
+
+class _Engine:
+    """Memoized recursion over one ops backend.
+
+    template holds one (inc_i, inc_j) pair per way of splitting an object
+    at its root into two sides, with the label shift of each side.
     mult = (a, b) encodes the node count at series index n as a*n + b.
     The memo tables are write-once: values are deterministic, so a
     concurrent duplicate store is harmless.
@@ -203,12 +214,12 @@ class _Engine:
             val = self.node_mult(self.pf(lam[1:]))
         else:
             rhs = self.ops.zero()
-            for kind_i, kind_j in self.template:
+            for inc_i, inc_j in self.template:
                 for w, parts_i, parts_j in sub_multisets(lam):
-                    side_i = self._side(kind_i, parts_i, not parts_j)
+                    side_i = self._side(inc_i, parts_i, not parts_j)
                     if side_i is None:
                         continue
-                    side_j = self._side(kind_j, parts_j, not parts_i)
+                    side_j = self._side(inc_j, parts_j, not parts_i)
                     if side_j is None:
                         continue
                     term = side_i * side_j
@@ -217,37 +228,23 @@ class _Engine:
         self.pf_memo[lam] = val
         return val
 
-    def _side(self, kind: str, parts: tuple[int, ...], excl: bool):
-        """Series for one template side; None when the side is excluded.
+    def _side(self, inc: int, parts: tuple[int, ...], excl: bool):
+        """Series for one side shifted by inc; None when it has no terms.
 
         excl marks the side holding every part while the other side is
-        empty: the term equal to the series being solved for is skipped
-        there (it is accounted for by the sqrt division).
+        empty: the term equal to the series being solved for (every s = k)
+        is skipped there (it is accounted for by the sqrt division).
         """
-        if kind == "plain":
-            return None if excl else self.pf(parts)
-        total = self.ops.zero()
-        if kind == "down":
-            for sigma in itertools.product(*(range(k + 1) for k in parts)):
-                if excl and sigma == parts:
-                    continue
-                w = 1
-                for k, s in zip(parts, sigma):
-                    w *= (-1) ** (k - s) * (factorial(k) // factorial(s))
-                total = total + self.pf(tuple(sorted(sigma))) * w
-            return total
-        if kind == "up":
-            for eps in itertools.product((0, 1), repeat=len(parts)):
-                if excl and not any(eps):
-                    continue
-                w = 1
-                for k, e in zip(parts, eps):
-                    if e:
-                        w *= k
-                arg = tuple(sorted(k - e for k, e in zip(parts, eps)))
-                total = total + self.pf(arg) * w
-            return total
-        raise ValueError(f"unknown template side kind {kind!r}")
+        total = None
+        for choice in itertools.product(*(_shift_terms(k, inc) for k in parts)):
+            sigma = tuple(s for s, _ in choice)
+            if excl and sigma == parts:
+                continue
+            w = prod(c for _, c in choice)
+            term = self.pf(tuple(sorted(sigma)))
+            term = term * w if w != 1 else term
+            total = term if total is None else total + term
+        return total
 
     def pps(self, rs: tuple[int, ...]) -> Series:
         """Power-sum product series via Stirling expansion into pf values."""
@@ -268,14 +265,24 @@ class _Engine:
 # int the PowerSeries backend truncated there.
 _ENGINES: dict[tuple, _Engine] = {}
 
-_HORIZONTAL_TEMPLATE = (("up", "up"),)
+# Depths in place of labels: both children of a binary node one deeper.
+_HORIZONTAL_TEMPLATE = ((1, 1),)
 
 
-def _engine(family: TreeFamily, order: int | None = None, template: Template | None = None) -> _Engine:
+def _template(family: TreeFamily) -> tuple[tuple[int, int], ...]:
+    """The side shifts of a family's recursion: one increment per child
+    role, or a plane tree's first subtree at every increment beside the
+    unshifted rest of the tree."""
+    if family.plane:
+        return tuple((inc, 0) for inc in family.increments)
+    return (family.increments,)
+
+
+def _engine(family: TreeFamily, order: int | None = None, template: tuple | None = None) -> _Engine:
     """The engine of a family's template, or of another template (the
     horizontal one) over the same base series and node rule.  f_series
     refuses a negative order."""
-    template = template or family.template
+    template = template or _template(family)
     key = (family, template, order)
     eng = _ENGINES.get(key)
     if eng is None:

@@ -19,9 +19,6 @@ from typing import Sequence
 
 from .partitions import canonical_partition, sub_multisets, weight
 
-_C_CACHE: dict[tuple[int, ...], Fraction] = {}
-_D_CACHE: dict[tuple[int, ...], Fraction] = {}
-
 
 def c_lambda(lam: Sequence[int]) -> Fraction:
     """Limit constant for an integrated-profile moment, exact.
@@ -33,20 +30,16 @@ def c_lambda(lam: Sequence[int]) -> Fraction:
     return _c_rec(lam_t)
 
 
+@lru_cache(maxsize=None)
 def _c_rec(lam: tuple[int, ...]) -> Fraction:
     if lam == ():
         return Fraction(-2)
-    hit = _C_CACHE.get(lam)
-    if hit is not None:
-        return hit
     p = len(lam)
     if lam[0] == 0:
         # Dropping one zero part multiplies by the shifted gamma-ratio slope.
-        val = (Fraction(p) + Fraction(weight(lam), 4) - Fraction(3, 2)) * _c_rec(
+        return (Fraction(p) + Fraction(weight(lam), 4) - Fraction(3, 2)) * _c_rec(
             lam[1:]
         )
-        _C_CACHE[lam] = val
-        return val
     total = Fraction(0)
     for w, lam_l, lam_r in sub_multisets(lam):
         if lam_l and lam_r:
@@ -64,7 +57,6 @@ def _c_rec(lam: tuple[int, ...]) -> Fraction:
             parts[j] -= 1
             sub = tuple(sorted(parts))
             total += lam[i] * lam[j] * _c_rec(sub)
-    _C_CACHE[lam] = total
     return total
 
 
@@ -74,19 +66,15 @@ def d_lambda(lam: Sequence[int]) -> Fraction:
     return _d_rec(lam_t)
 
 
+@lru_cache(maxsize=None)
 def _d_rec(lam: tuple[int, ...]) -> Fraction:
     if lam == ():
         return Fraction(-2)
-    hit = _D_CACHE.get(lam)
-    if hit is not None:
-        return hit
     p = len(lam)
     if lam[0] == 0:
-        val = (Fraction(p) + Fraction(weight(lam), 2) - Fraction(3, 2)) * _d_rec(
+        return (Fraction(p) + Fraction(weight(lam), 2) - Fraction(3, 2)) * _d_rec(
             lam[1:]
         )
-        _D_CACHE[lam] = val
-        return val
     total = Fraction(0)
     for w, lam_l, lam_r in sub_multisets(lam):
         if lam_l and lam_r:
@@ -95,7 +83,6 @@ def _d_rec(lam: tuple[int, ...]) -> Fraction:
     for i in range(p):
         sub = tuple(sorted(lam[:i] + (lam[i] - 1,) + lam[i + 1 :]))
         total += lam[i] * _d_rec(sub)
-    _D_CACHE[lam] = total
     return total
 
 

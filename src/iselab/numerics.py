@@ -26,16 +26,6 @@ class ToleranceError(RuntimeError):
     """A numeric routine could not certify its requested tolerance."""
 
 
-def gamma_fn(z: float) -> float:
-    """Gamma function for real arguments, rejecting the poles explicitly."""
-    z = float(z)
-    if not math.isfinite(z):
-        raise ValueError("gamma_fn needs a finite argument")
-    if z <= 0 and z == int(z):
-        raise ValueError(f"gamma pole at non-positive integer {z}")
-    return math.gamma(z)
-
-
 # Gauss-Legendre node counts of the coarse and the fine density rule, and
 # the reach of the density panels around the integrand's peak.
 _DENSITY_NODES = (64, 80)

@@ -42,7 +42,7 @@ class SeedSpec:
         return SeedSpec(self.master_seed, stream_id)
 
 
-SeedLike = Union[SeedSpec, np.random.Generator, int]
+SeedLike = Union[SeedSpec, np.random.Generator]
 
 
 def _rng(seed: SeedLike) -> np.random.Generator:
@@ -50,9 +50,7 @@ def _rng(seed: SeedLike) -> np.random.Generator:
         return seed
     if isinstance(seed, SeedSpec):
         return seed.generator()
-    if isinstance(seed, int) and not isinstance(seed, bool):
-        return SeedSpec(seed).generator()
-    raise TypeError("seed must be a SeedSpec, numpy Generator, or integer")
+    raise TypeError("seed must be a SeedSpec or numpy Generator")
 
 
 def sample_binary(n: int, seed: SeedLike) -> LabelledTree:

@@ -1,17 +1,21 @@
 """Acceptance harness: the ten numbered checks behind the verify command.
 
-Each criterion function is self-contained, returns a CriterionResult with
-a one-line measured detail, and never raises on a mere failed bound (only
-on infrastructure errors).  Monte Carlo checks use fixed Philox master
-seeds so reruns are byte-identical.
+Each criterion is declared once, by the _criterion decorator with its
+number and name.  Its body returns (passed, detail), detail a one-line
+measurement; the decorator times the whole body, builds the
+CriterionResult and registers the criterion for run.  A criterion never
+raises on a mere failed bound (only on infrastructure errors).  Monte
+Carlo checks use fixed Philox master seeds so reruns are byte-identical.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
@@ -45,13 +49,28 @@ class CriterionResult:
     elapsed: float
 
 
-def _done(cid: int, name: str, passed: bool, detail: str, t0: float) -> CriterionResult:
-    return CriterionResult(cid, name, bool(passed), detail, time.perf_counter() - t0)
+_CRITERIA: dict[int, Callable[[], CriterionResult]] = {}
 
 
-def criterion_1() -> CriterionResult:
+def _criterion(cid: int, name: str):
+    """Register a body returning (passed, detail) as criterion cid."""
+
+    def register(body: Callable[[], tuple[bool, str]]) -> Callable[[], CriterionResult]:
+        @functools.wraps(body, assigned=("__module__", "__name__", "__qualname__", "__doc__"))
+        def criterion() -> CriterionResult:
+            t0 = time.perf_counter()
+            passed, detail = body()
+            return CriterionResult(cid, name, bool(passed), detail, time.perf_counter() - t0)
+
+        _CRITERIA[cid] = criterion
+        return criterion
+
+    return register
+
+
+@_criterion(1, "exact vs oracle")
+def criterion_1() -> tuple[bool, str]:
     """Series-based exact moments equal brute-force enumeration exactly."""
-    t0 = time.perf_counter()
     lams = tuple(positive_partitions(6, 3))
     checked = 0
     for fam in FAMILIES.values():
@@ -61,55 +80,34 @@ def criterion_1() -> CriterionResult:
                 oracle = Fraction(totals[lam], count)
                 exact = genfun.exact_moment(fam, lam, n).exact
                 if exact != oracle:
-                    return _done(
-                        1,
-                        "exact vs oracle",
-                        False,
-                        f"mismatch at {fam.name} n={n} lam={lam}: "
-                        f"{exact} != {oracle}",
-                        t0,
-                    )
+                    return False, f"mismatch at {fam.name} n={n} lam={lam}: {exact} != {oracle}"
                 checked += 1
-    return _done(1, "exact vs oracle", True, f"{checked} cells match exactly", t0)
+    return True, f"{checked} cells match exactly"
 
 
-def criterion_2() -> CriterionResult:
+@_criterion(2, "grand-moment closure")
+def criterion_2() -> tuple[bool, str]:
     """Grand-moment recurrences close: c_(2k) ladder and a vs c identities."""
-    t0 = time.perf_counter()
     for k in range(1, 11):
         lhs = grandmoments.c_lambda((2 * k,))
         rhs = k * (2 * k - 1) * grandmoments.c_lambda((2 * k - 2,))
         if lhs != rhs:
-            return _done(2, "grand-moment closure", False, f"c ladder fails at k={k}", t0)
+            return False, f"c ladder fails at k={k}"
     pairs = 0
     for k in range(0, 9):
         for ell in range(0, 9 - k):
             lam = (1,) * (2 * k) + (2,) * ell
             if grandmoments.a_coeff2(k, ell) != grandmoments.c_lambda(lam):
-                return _done(
-                    2,
-                    "grand-moment closure",
-                    False,
-                    f"a_(k,l) vs c fails at k={k}, l={ell}",
-                    t0,
-                )
+                return False, f"a_(k,l) vs c fails at k={k}, l={ell}"
             if ell == 0 and grandmoments.a_coeff(k) != grandmoments.c_lambda(lam):
-                return _done(
-                    2, "grand-moment closure", False, f"a_k vs c fails at k={k}", t0
-                )
+                return False, f"a_k vs c fails at k={k}"
             pairs += 1
-    return _done(
-        2,
-        "grand-moment closure",
-        True,
-        f"c ladder k<=10 and {pairs} a-vs-c identities exact",
-        t0,
-    )
+    return True, f"c ladder k<=10 and {pairs} a-vs-c identities exact"
 
 
-def criterion_3() -> CriterionResult:
+@_criterion(3, "finite-n convergence")
+def criterion_3() -> tuple[bool, str]:
     """Finite-n normalized moments approach the ISE limits monotonically."""
-    t0 = time.perf_counter()
     sizes = (64, 256, 1024)
     worst = 0.0
     for lam in ((2,), (1, 1), (4,), (2, 2)):
@@ -118,116 +116,66 @@ def criterion_3() -> CriterionResult:
             abs(genfun.float_moment(BINARY, lam, n) / limit - 1.0) for n in sizes
         ]
         if not (gaps[0] > gaps[1] > gaps[2]):
-            return _done(
-                3,
-                "finite-n convergence",
-                False,
-                f"gaps not decreasing for lam={lam}: {gaps}",
-                t0,
-            )
+            return False, f"gaps not decreasing for lam={lam}: {gaps}"
         if gaps[2] >= 0.15:
-            return _done(
-                3,
-                "finite-n convergence",
-                False,
-                f"final gap {gaps[2]:.4f} >= 0.15 for lam={lam}",
-                t0,
-            )
+            return False, f"final gap {gaps[2]:.4f} >= 0.15 for lam={lam}"
         worst = max(worst, gaps[2])
-    return _done(
-        3,
-        "finite-n convergence",
-        True,
-        f"gaps strictly decreasing, final gap <= {worst:.4f}",
-        t0,
-    )
+    return True, f"gaps strictly decreasing, final gap <= {worst:.4f}"
 
 
-def criterion_4() -> CriterionResult:
+@_criterion(4, "excursion cross-check")
+def criterion_4() -> tuple[bool, str]:
     """Excursion first moment: closed form and Dyck-path MC agree."""
-    t0 = time.perf_counter()
     closed = math.sqrt(math.pi / 8.0)
     exact = grandmoments.limit_moment_exc((1,))
     if abs(exact - closed) > 1e-12:
-        return _done(
-            4, "excursion cross-check", False, f"closed form off: {exact}", t0
-        )
+        return False, f"closed form off: {exact}"
     est = sampler.empirical_dyck_moment(2048, (1,), 5000, SEED_DYCK)
     allowance = 3.0 * est.stderr + 0.10 * closed
     gap = abs(est.mean - closed)
-    return _done(
-        4,
-        "excursion cross-check",
+    return (
         gap <= allowance,
         f"MC mean {est.mean:.5f} vs {closed:.5f}, gap {gap:.5f} <= {allowance:.5f}",
-        t0,
     )
 
 
-def criterion_5() -> CriterionResult:
+@_criterion(5, "mean-density double derivation")
+def criterion_5() -> tuple[bool, str]:
     """Quadrature and series mean-density derivations agree."""
-    t0 = time.perf_counter()
     worst = 0.0
     for lam_x in (0.0, 0.25, 0.5, 1.0, 2.0):
         q = numerics.mean_density_quadrature(lam_x)
         s = numerics.mean_density_series(lam_x)
         worst = max(worst, abs(q - s))
         if abs(q - s) > 1e-8:
-            return _done(
-                5,
-                "mean-density double derivation",
-                False,
-                f"quad vs series gap {abs(q - s):.2e} at lambda={lam_x}",
-                t0,
-            )
+            return False, f"quad vs series gap {abs(q - s):.2e} at lambda={lam_x}"
     closed = 2.0**-0.75 * math.gamma(0.75) / math.sqrt(math.pi)
     q0 = numerics.mean_density_quadrature(0.0)
     s0 = numerics.mean_density_series(0.0)
     if abs(q0 - closed) > 1e-10 or abs(s0 - closed) > 1e-10:
-        return _done(
-            5,
-            "mean-density double derivation",
-            False,
-            f"lambda=0 values {q0!r}, {s0!r} vs closed {closed!r}",
-            t0,
-        )
-    return _done(
-        5,
-        "mean-density double derivation",
-        True,
-        f"max quad-series gap {worst:.2e}; lambda=0 matches closed form",
-        t0,
-    )
+        return False, f"lambda=0 values {q0!r}, {s0!r} vs closed {closed!r}"
+    return True, f"max quad-series gap {worst:.2e}; lambda=0 matches closed form"
 
 
-def _mgf_lambda(alpha: float, cache: dict) -> float:
-    if alpha not in cache:
-        cache[alpha] = numerics.mgf_L(0.0, 2.0**-0.25 * alpha)
-    return cache[alpha]
-
-
-def criterion_6() -> CriterionResult:
+@_criterion(6, "MGF consistency")
+def criterion_6() -> tuple[bool, str]:
     """Finite-difference MGF moments match the closed-form point moments."""
-    t0 = time.perf_counter()
     for x in (0.0, 0.5, 1.0):
         v = numerics.mgf_L(x, 0.0)
         if abs(v - 1.0) > 1e-10:
-            return _done(6, "MGF consistency", False, f"L({x},0) = {v!r}", t0)
-    cache: dict = {0.0: 1.0}
+            return False, f"L({x},0) = {v!r}"
     h = 0.15
-
-    def lam(alpha: float) -> float:
-        return _mgf_lambda(alpha, cache)
-
-    d1 = (8.0 * (lam(h) - lam(-h)) - (lam(2 * h) - lam(-2 * h))) / (12.0 * h)
+    # L(0, 2^(-1/4) alpha) at the stencil points alpha = j h; 1 at alpha = 0.
+    lam = {j: numerics.mgf_L(0.0, 2.0**-0.25 * (j * h)) if j else 1.0 for j in range(-3, 4)}
+    d1 = (8.0 * (lam[1] - lam[-1]) - (lam[2] - lam[-2])) / (12.0 * h)
     d2 = (
-        -(lam(2 * h) + lam(-2 * h)) + 16.0 * (lam(h) + lam(-h)) - 30.0 * lam(0.0)
+        -(lam[2] + lam[-2]) + 16.0 * (lam[1] + lam[-1]) - 30.0 * lam[0]
     ) / (12.0 * h * h)
     # antisymmetric 6-point third derivative, O(h^4) with tiny h^4 f^(7) term
     d3 = (
-        -13.0 / 8.0 * (lam(h) - lam(-h))
-        + (lam(2 * h) - lam(-2 * h))
-        - 1.0 / 8.0 * (lam(3 * h) - lam(-3 * h))
+        -13.0 / 8.0 * (lam[1] - lam[-1])
+        + (lam[2] - lam[-2])
+        - 1.0 / 8.0 * (lam[3] - lam[-3])
     ) / h**3
     worst = 0.0
     for k, fd in ((1, d1), (2, d2), (3, d3)):
@@ -235,21 +183,13 @@ def criterion_6() -> CriterionResult:
         rel = abs(fd / ref - 1.0)
         worst = max(worst, rel)
         if rel > 1e-5:
-            return _done(
-                6,
-                "MGF consistency",
-                False,
-                f"k={k}: FD {fd:.8f} vs {ref:.8f}, rel {rel:.2e}",
-                t0,
-            )
-    return _done(
-        6, "MGF consistency", True, f"L(x,0)=1 and FD rel error <= {worst:.2e}", t0
-    )
+            return False, f"k={k}: FD {fd:.8f} vs {ref:.8f}, rel {rel:.2e}"
+    return True, f"L(x,0)=1 and FD rel error <= {worst:.2e}"
 
 
-def criterion_7() -> CriterionResult:
+@_criterion(7, "duplication identity")
+def criterion_7() -> tuple[bool, str]:
     """Duplication identity: absolute-moment closed form equals even moments."""
-    t0 = time.perf_counter()
     worst = 0.0
     for k in range(1, 5):
         lhs = grandmoments.abs_moment_ise(2 * k)
@@ -257,19 +197,13 @@ def criterion_7() -> CriterionResult:
         rel = abs(lhs / rhs - 1.0)
         worst = max(worst, rel)
         if rel > 1e-12:
-            return _done(
-                7,
-                "duplication identity",
-                False,
-                f"k={k}: {lhs!r} vs {rhs!r}",
-                t0,
-            )
-    return _done(7, "duplication identity", True, f"k=1..4 rel gap <= {worst:.2e}", t0)
+            return False, f"k={k}: {lhs!r} vs {rhs!r}"
+    return True, f"k=1..4 rel gap <= {worst:.2e}"
 
 
-def criterion_8() -> CriterionResult:
+@_criterion(8, "local limit law MC")
+def criterion_8() -> tuple[bool, str]:
     """Mean rescaled binary profile matches the mean density pointwise."""
-    t0 = time.perf_counter()
     xs = (0.0, 0.5, 1.0)
     refs = [numerics.mean_density_quadrature(x) for x in xs]
     vals = np.empty((PROFILE_SAMPLES, len(xs)))
@@ -287,12 +221,12 @@ def criterion_8() -> CriterionResult:
         details.append(f"x={x}: {means[j]:.5f} vs {refs[j]:.5f} (tol {allowance:.5f})")
         if gap > allowance:
             passed = False
-    return _done(8, "local limit law MC", passed, "; ".join(details), t0)
+    return passed, "; ".join(details)
 
 
-def criterion_9() -> CriterionResult:
+@_criterion(9, "Fourier ratio bounded")
+def criterion_9() -> tuple[bool, str]:
     """Fourier second-moment ratio stays bounded across tree sizes."""
-    t0 = time.perf_counter()
     grid = np.linspace(0.0, 3.0, 200)
     maxima = {}
     for n in (10, 20, 40, 60, 120, 240):
@@ -300,7 +234,7 @@ def criterion_9() -> CriterionResult:
     bound = 1.5 * maxima[10]
     passed = all(m <= bound for m in maxima.values())
     detail = ", ".join(f"M_{n}={m:.4f}" for n, m in maxima.items())
-    return _done(9, "Fourier ratio bounded", passed, f"{detail}; bound {bound:.4f}", t0)
+    return passed, f"{detail}; bound {bound:.4f}"
 
 
 def _chi_square(observed: dict, classes: int, samples: int) -> float:
@@ -308,9 +242,9 @@ def _chi_square(observed: dict, classes: int, samples: int) -> float:
     return sum((observed.get(k, 0) - expected) ** 2 for k in range(classes)) / expected
 
 
-def criterion_10() -> CriterionResult:
+@_criterion(10, "sampler uniformity")
+def criterion_10() -> tuple[bool, str]:
     """Sampler uniformity over shapes by chi-square at 4 sigma."""
-    t0 = time.perf_counter()
     details = []
     passed = True
     for fam, n, seed in (
@@ -332,21 +266,7 @@ def criterion_10() -> CriterionResult:
         details.append(f"{fam.name} n={n}: chi2 {chi2:.2f} <= {limit:.2f} (df {df})")
         if chi2 > limit:
             passed = False
-    return _done(10, "sampler uniformity", passed, "; ".join(details), t0)
-
-
-_CRITERIA = {
-    1: criterion_1,
-    2: criterion_2,
-    3: criterion_3,
-    4: criterion_4,
-    5: criterion_5,
-    6: criterion_6,
-    7: criterion_7,
-    8: criterion_8,
-    9: criterion_9,
-    10: criterion_10,
-}
+    return passed, "; ".join(details)
 
 
 def run(level: str = "full") -> list[CriterionResult]:

@@ -3,7 +3,7 @@
 Each test delegates to the corresponding verify.criterion_* function (the
 same code the `iselab verify` command runs), prints its pass/fail line
 with the measured detail through the capture layer so it shows up in any
-pytest run, and asserts the verdict.
+pytest run, and asserts the verdict, the number and the pinned name.
 """
 
 import pytest
@@ -11,10 +11,25 @@ import pytest
 from iselab import trees, verify
 from iselab.families import FAMILIES
 
+# The name each criterion prints in the verify output.
+NAMES = {
+    1: "exact vs oracle",
+    2: "grand-moment closure",
+    3: "finite-n convergence",
+    4: "excursion cross-check",
+    5: "mean-density double derivation",
+    6: "MGF consistency",
+    7: "duplication identity",
+    8: "local limit law MC",
+    9: "Fourier ratio bounded",
+    10: "sampler uniformity",
+}
+
 
 @pytest.fixture
 def check(capsys):
-    def _check(result):
+    def _check(result, cid):
+        assert (result.cid, result.name) == (cid, NAMES[cid])
         status = "PASS" if result.passed else "FAIL"
         line = (
             f"criterion {result.cid:02d} [{result.name}]: {status} "
@@ -28,7 +43,7 @@ def check(capsys):
 
 
 def test_criterion_01_exact_oracle_agreement(check):
-    check(verify.criterion_1())
+    check(verify.criterion_1(), 1)
 
 
 def test_criterion_01_scope():
@@ -42,36 +57,44 @@ def test_criterion_01_scope():
 
 
 def test_criterion_02_constant_recurrences(check):
-    check(verify.criterion_2())
+    check(verify.criterion_2(), 2)
 
 
 def test_criterion_03_moment_convergence(check):
-    check(verify.criterion_3())
+    check(verify.criterion_3(), 3)
 
 
 def test_criterion_04_excursion_limit(check):
-    check(verify.criterion_4())
+    check(verify.criterion_4(), 4)
 
 
 def test_criterion_05_mean_density_cross_check(check):
-    check(verify.criterion_5())
+    check(verify.criterion_5(), 5)
 
 
 def test_criterion_06_mgf_derivative_moments(check):
-    check(verify.criterion_6())
+    check(verify.criterion_6(), 6)
 
 
 def test_criterion_07_abs_moment_interpolation(check):
-    check(verify.criterion_7())
+    check(verify.criterion_7(), 7)
 
 
 def test_criterion_08_profile_density_match(check):
-    check(verify.criterion_8())
+    check(verify.criterion_8(), 8)
 
 
 def test_criterion_09_fourier_ratio_bound(check):
-    check(verify.criterion_9())
+    check(verify.criterion_9(), 9)
 
 
 def test_criterion_10_sampler_uniformity(check):
-    check(verify.criterion_10())
+    check(verify.criterion_10(), 10)
+
+
+def test_run_levels():
+    quick = verify.run("quick")
+    assert [(r.cid, r.name) for r in quick] == [(cid, NAMES[cid]) for cid in (1, 2, 5, 7)]
+    assert all(r.passed for r in quick)
+    with pytest.raises(ValueError, match="level must be 'quick' or 'full'"):
+        verify.run("bogus")

@@ -11,7 +11,6 @@ from iselab.numerics import (
     MGF_A_RADIUS,
     ToleranceError,
     contour_point,
-    gamma_fn,
     mean_density_quadrature,
     mean_density_quadrature_with_error,
     mean_density_series,
@@ -22,16 +21,6 @@ from iselab.numerics import (
 
 
 class TestGammaAndConfig:
-    def test_gamma_values(self):
-        assert gamma_fn(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-15)
-        assert gamma_fn(-0.5) == pytest.approx(-2 * math.sqrt(math.pi), rel=1e-15)
-        assert gamma_fn(5.0) == 24.0
-
-    def test_gamma_poles(self):
-        for z in (0.0, -1.0, -2.0):
-            with pytest.raises(ValueError):
-                gamma_fn(z)
-
     def test_config_validation(self):
         # tol is both the absolute and the relative bound; it must be positive.
         for tol in (0.0, -1e-10, math.nan):
